@@ -71,7 +71,9 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
     def item(self):
-        return float(self.values)
+        if self.values.size != 1:
+            raise ValueError(f"item() needs a one-element tensor, got shape {self.values.shape}")
+        return self.values.item()
 
     def detach(self):
         return Tensor(self.values)
@@ -283,15 +285,13 @@ class Tensor:
         return _node(out, (a,), bw)
 
     def softplus(self):
-        # max(x,0) + log1p(exp(-|x|)) is exact and overflow-free.
         a = self
         v = a.values
-        out = np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
 
         def bw(g):
             a._accum(g * _sigmoid(v))
 
-        return _node(out, (a,), bw)
+        return _node(_softplus(v), (a,), bw)
 
     def sin(self):
         a = self
@@ -311,12 +311,14 @@ class Tensor:
 
 
 def _sigmoid(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # 1 / (1 + exp(-v)) as (1 + tanh(v/2)) / 2: overflow-free in one pass,
+    # with no masking on the sign of v.
+    return 0.5 * (1.0 + np.tanh(0.5 * v))
+
+
+def _softplus(v):
+    # max(v,0) + log1p(exp(-|v|)) is exact and overflow-free.
+    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
 
 
 def _node(values, parents, backward):
@@ -350,9 +352,18 @@ def log2(x):
 
 
 def mish(x):
-    """x * tanh(softplus(x)); smooth, non-monotone below zero."""
-    x = astensor(x)
-    return x * x.softplus().tanh()
+    """x * tanh(softplus(x)); smooth, non-monotone below zero.
+
+    One graph node. With t = tanh(softplus(x)) kept from the forward pass,
+    the derivative is t + x (1 - t^2) sigmoid(x) (Misra 2019)."""
+    a = astensor(x)
+    v = a.values
+    t = np.tanh(_softplus(v))
+
+    def bw(g):
+        a._accum(g * (t + v * (1.0 - t * t) * _sigmoid(v)))
+
+    return _node(v * t, (a,), bw)
 
 
 def straight_through(x, quantizer):

@@ -3,10 +3,17 @@
 Convolutions run along the last axis of [batch, channels, 1, length] inputs
 (the dummy axis keeps the planar-image layout the beamformer networks use);
 batch norm normalizes per channel over every other axis.
+
+Conv1d and BatchNorm are each a single fused graph node with a hand-written
+backward pass, as is `autodiff.mish`: Conv1d is one im2col GEMM forward and
+two GEMMs plus a col2im scatter-add backward (Chellapilla et al. 2006);
+BatchNorm uses the closed-form backward of Ioffe & Szegedy (2015). Dense
+stays a composition of matmul and add.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Module, Tensor, _node, mish
 
@@ -48,31 +55,35 @@ class Conv1d(Module):
         if x.ndim != 4 or x.shape[1] != self.c_in or x.shape[2] != 1:
             raise ValueError(
                 f"conv expects [batch, {self.c_in}, 1, length], got {x.shape}")
-        length = x.shape[3]
+        nb, c, _, length = x.shape
         if length < 1:
             raise ValueError(f"conv input length must be >= 1, got {length}")
         w, b, k = self.w, self.b, self.kernel
         pad = k // 2
-        xv = x.values[:, :, 0, :]                      # [B, C, L]
-        xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad)))
-        # windows[b, c, t, l] = xp[b, c, l + t]
-        windows = np.stack([xp[:, :, t:t + length] for t in range(k)], axis=2)
-        out = np.einsum("oct,bctl->bol", w.values, windows, optimize=True)
-        out = out + b.values[None, :, None]
+        o = self.c_out
+        # im2col: cols[(b, l), (t, c)] = xp[b, l + t, c], zero-padded along l
+        xp = np.zeros((nb, length + 2 * pad, c))
+        xp[:, pad:pad + length, :] = x.values[:, :, 0, :].transpose(0, 2, 1)
+        cols = sliding_window_view(xp, k, axis=1).transpose(0, 1, 3, 2).reshape(
+            nb * length, k * c)
+        wm = w.values.transpose(0, 2, 1).reshape(o, k * c)
+        out = cols @ wm.T
+        out += b.values
+        out = np.ascontiguousarray(out.reshape(nb, length, o).transpose(0, 2, 1))
 
         def bw(g):
-            gv = g[:, :, 0, :]                         # [B, O, L]
+            gm = g[:, :, 0, :].transpose(0, 2, 1).reshape(nb * length, o)
             if w.requires_grad:
-                w._accum(np.einsum("bol,bctl->oct", gv, windows, optimize=True))
+                w._accum((gm.T @ cols).reshape(o, k, c).transpose(0, 2, 1))
             if b.requires_grad:
-                b._accum(gv.sum(axis=(0, 2)))
+                b._accum(gm.sum(axis=0))
             if x.requires_grad:
-                gxp = np.zeros_like(xp)
+                # col2im: scatter-add each kernel tap back onto the padded input
+                gcols = (gm @ wm).reshape(nb, length, k, c)
+                gxp = np.zeros((nb, length + 2 * pad, c))
                 for t in range(k):
-                    gxp[:, :, t:t + length] += np.einsum(
-                        "oct,bol->bcl", w.values[:, :, t:t + 1], gv, optimize=True)
-                gx = gxp[:, :, pad:pad + length]
-                x._accum(gx[:, :, None, :])
+                    gxp[:, t:t + length, :] += gcols[:, :, t, :]
+                x._accum(gxp[:, pad:pad + length, :].transpose(0, 2, 1)[:, :, None, :])
 
         return _node(out[:, :, None, :], (x, w, b), bw)
 
@@ -100,22 +111,47 @@ class BatchNorm(Module):
                 f"batchnorm expects axis 1 of size {self.n_features}, got {x.shape}")
         axes = (0,) + tuple(range(2, x.ndim))
         shape = (1, self.n_features) + (1,) * (x.ndim - 2)
-        if self.training:
+        n = int(np.prod([x.shape[i] for i in axes]))
+        training = self.training
+        if training:
             if x.shape[0] < 2:
                 raise ValueError("batchnorm in training mode needs batch size >= 2")
-            n = int(np.prod([x.shape[i] for i in axes]))
-            mean = x.mean(axis=axes, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=axes, keepdims=True)
+            mean = x.values.sum(axis=axes, keepdims=True) * (1.0 / n)
+            xhat = x.values - mean
+            var = (xhat * xhat).sum(axis=axes, keepdims=True) * (1.0 / n)
             m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mean.values.reshape(-1)
-            unbiased = var.values.reshape(-1) * n / max(n - 1, 1)
+            self.running_mean = (1 - m) * self.running_mean + m * mean.reshape(-1)
+            unbiased = var.reshape(-1) * n / max(n - 1, 1)
             self.running_var = (1 - m) * self.running_var + m * unbiased
-            xhat = centered / (var + self.eps).sqrt()
+            std = np.sqrt(var + self.eps)
         else:
-            xhat = (x - self.running_mean.reshape(shape)) / np.sqrt(
-                self.running_var.reshape(shape) + self.eps)
-        return xhat * self.gamma.reshape(shape) + self.beta.reshape(shape)
+            xhat = x.values - self.running_mean.reshape(shape)
+            std = np.sqrt(self.running_var.reshape(shape) + self.eps)
+        xhat /= std
+        gamma, beta = self.gamma, self.beta
+        scale = gamma.values.reshape(shape)
+        out = xhat * scale + beta.values.reshape(shape)
+
+        def bw(g):
+            gsum = g.sum(axis=axes, keepdims=True)
+            gdot = (g * xhat).sum(axis=axes, keepdims=True)
+            if beta.requires_grad:
+                beta._accum(gsum.reshape(-1))
+            if gamma.requires_grad:
+                gamma._accum(gdot.reshape(-1))
+            if x.requires_grad:
+                gain = scale / std
+                if training:
+                    # the batch statistics depend on x (Ioffe & Szegedy 2015)
+                    gx = xhat * (gdot * (-1.0 / n))
+                    gx += g
+                    gx -= gsum * (1.0 / n)
+                    gx *= gain
+                else:
+                    gx = g * gain
+                x._accum(gx)
+
+        return _node(out, (x, gamma, beta), bw)
 
 
 class DenseBlock(Module):

@@ -136,6 +136,18 @@ def _op_cases():
     bn = BatchNorm(3)
     xb = t(6, 3, 1, 4)
     yield "batchnorm", [xb, bn.gamma, bn.beta], lambda: (bn(xb) * bn(xb)).sum()
+    bn_eval = BatchNorm(3)
+    bn_eval.gamma.values = rng.uniform(0.5, 1.5, 3)
+    bn_eval.beta.values = rng.uniform(-0.5, 0.5, 3)
+    bn_eval.running_mean = rng.uniform(-0.5, 0.5, 3)
+    bn_eval.running_var = rng.uniform(0.5, 2.0, 3)
+    bn_eval.set_training(False)
+    xe = t(4, 3, 1, 5)
+    yield "batchnorm-eval", [xe, bn_eval.gamma, bn_eval.beta], \
+        lambda: (bn_eval(xe) * bn_eval(xe)).sum()
+    conv3 = Conv1d(3, 2, np.random.default_rng(13), kernel=3)
+    xk = t(2, 3, 1, 2)
+    yield "conv1d-k3-len2", [xk, conv3.w, conv3.b], lambda: (conv3(xk) * conv3(xk)).sum()
 
 
 def _tiny_cfg(**kw):

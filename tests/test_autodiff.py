@@ -23,6 +23,16 @@ def test_backward_identity_and_square():
     assert x.grad == pytest.approx(6.0)
 
 
+def test_item_on_one_element_vector():
+    x = Tensor([2.5], requires_grad=True)
+    y = x * x
+    y.backward()
+    assert y.item() == 6.25 and isinstance(y.item(), float)
+    assert x.grad == pytest.approx([5.0])
+    with pytest.raises(ValueError, match="one-element"):
+        Tensor([1.0, 2.0]).item()
+
+
 def test_repeated_subexpression_accumulates():
     x = Tensor(2.0, requires_grad=True)
     y = x + x
@@ -119,6 +129,14 @@ def test_softplus_stable_and_exact():
     assert y.values[0] == pytest.approx(0.0, abs=1e-12)
     assert y.values[1] == pytest.approx(np.log(2.0))
     assert y.values[2] == pytest.approx(1000.0)
+
+
+def test_sigmoid_matches_logistic_without_overflow():
+    v = np.linspace(-20.0, 20.0, 401)
+    np.testing.assert_allclose(Tensor(v).sigmoid().values, 1.0 / (1.0 + np.exp(-v)),
+                               rtol=1e-9, atol=1e-15)
+    y = Tensor([-1000.0, 0.0, 1000.0]).sigmoid().values
+    assert list(y) == [0.0, 0.5, 1.0]
 
 
 def test_mish_values():
