@@ -3,7 +3,9 @@ power normalization, quantization, and the downlink sum rate.
 
 Everything here runs batched with a leading sample axis and accepts plain
 numpy channels; gradient flows into whatever Tensors participate (pilot
-phases, network outputs).
+phases, network outputs). The sum rate has one formula,
+`sum_rate_effective`, and the power cap one rule, `autodiff.cap_scale`;
+learned and classical schemes are scored and capped by the same code.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import astensor, cap_scale, log2, straight_through
+from .autodiff import astensor, cap_scale, log2, no_grad, straight_through
 from .cplx import ComplexPair, as_pair, cexp
 from .channel import awgn
 
@@ -77,26 +79,17 @@ def normalize_digital(f_rf, fbb_raw, pt, nc):
     """Scale each per-subcarrier digital beamformer so the hybrid product
     stays inside the power budget: ||F_RF F_BB[n]||_F <= sqrt(Pt/Nc), with
     beamformers already inside the budget left untouched."""
-    single = f_rf.re.ndim == 2
-    if single:
-        f_rf = f_rf.reshape(1, *f_rf.shape)
-        fbb_raw = fbb_raw.reshape(1, *fbb_raw.shape)
-    nb, m, k = f_rf.shape
-    eff = f_rf.reshape(nb, 1, m, k) @ fbb_raw                 # [B, Nc, M, K]
-    sumsq = eff.abs2().sum(axis=(-2, -1), keepdims=True)      # [B, Nc, 1, 1]
-    scale = cap_scale(sumsq, np.sqrt(pt / nc))
-    out = fbb_raw * scale
-    return out[0] if single else out
+    eff = effective_beamformer(f_rf, fbb_raw)                 # [.., Nc, M, K]
+    sumsq = eff.abs2().sum(axis=(-2, -1), keepdims=True)      # [.., Nc, 1, 1]
+    return fbb_raw * cap_scale(sumsq, np.sqrt(pt / nc))
 
 
 def normalize_digital_np(f_rf, f_bb, pt, nc):
-    """Numpy twin of normalize_digital for classical beamformers."""
+    """normalize_digital for one classical beamformer held as plain complex
+    arrays, f_rf [M, K] and f_bb [Nc, K, K]; same cap rule, no graph."""
     eff = f_rf[None] @ f_bb                                    # [Nc, M, K]
-    norms = np.linalg.norm(eff, axis=(1, 2))
-    cap = np.sqrt(pt / nc)
-    scale = np.ones_like(norms)
-    over = norms > cap
-    scale[over] = cap / norms[over]
+    sumsq = (eff.conj() * eff).real.sum(axis=(1, 2))
+    scale = cap_scale(sumsq, np.sqrt(pt / nc)).values
     return f_bb * scale[:, None, None]
 
 
@@ -104,6 +97,7 @@ def normalize_digital_np(f_rf, f_bb, pt, nc):
 
 
 def effective_beamformer(f_rf, f_bb):
+    """Per-subcarrier product F_RF F_BB[n]: [.., Nc, M, K] ComplexPair."""
     single = f_rf.re.ndim == 2
     if single:
         f_rf = f_rf.reshape(1, *f_rf.shape)
@@ -126,7 +120,10 @@ def sum_rate(h, f_rf, f_bb, sigma2):
 
 
 def sum_rate_effective(h, eff, sigma2):
-    """Sum rate given the effective per-subcarrier beamformer [.., Nc, M, K]."""
+    """Sum rate given the effective per-subcarrier beamformer [.., Nc, M, K].
+
+    The one SINR/log2 rate formula: every learned and classical scheme is
+    scored here."""
     if sigma2 <= 0:
         raise ValueError(f"noise variance must be positive, got {sigma2}")
     h = np.asarray(h)
@@ -149,22 +146,11 @@ def sum_rate_effective(h, eff, sigma2):
 
 
 def sum_rate_np(h, eff, sigma2):
-    """Plain numpy rate for classical schemes; same math as sum_rate_effective."""
-    if sigma2 <= 0:
-        raise ValueError(f"noise variance must be positive, got {sigma2}")
-    h = np.asarray(h)
-    single = h.ndim == 3
-    if single:
-        h = h[None]
-        eff = eff[None] if eff.ndim == 3 else eff
-    nb, k, m, nc = h.shape
-    hh = np.conj(h).transpose(0, 3, 1, 2)
-    gains = np.abs(hh @ eff) ** 2
-    wanted = np.einsum("bnkk->bnk", gains)
-    interference = gains.sum(axis=-1) - wanted
-    sinr = wanted / (interference + sigma2)
-    rates = np.log2(1.0 + sinr).sum(axis=(1, 2)) / nc
-    return float(rates[0]) if single else rates
+    """sum_rate_effective without a graph, for complex ndarray beamformers:
+    a float for one realization, an ndarray [B] for a batch."""
+    with no_grad():
+        rate = sum_rate_effective(h, eff, sigma2).values
+    return float(rate) if rate.ndim == 0 else rate
 
 
 # -- quantization ----------------------------------------------------------
@@ -207,11 +193,11 @@ def bits_to_surrogate(bits):
 
 @dataclass
 class HybridBeamformer:
-    """Analog phases / matrix plus per-subcarrier digital beamformers."""
+    """A classical hybrid beamformer: the unit-modulus analog matrix and the
+    per-subcarrier digital beamformers, capped by normalize_digital_np."""
 
     f_rf: np.ndarray            # [M, K] unit-modulus entries
     f_bb: np.ndarray            # [Nc, K, K]
-    theta_rf: np.ndarray | None = None
 
     def validate(self, pt, nc, tol=1e-9):
         if not np.allclose(np.abs(self.f_rf), 1.0, atol=tol):

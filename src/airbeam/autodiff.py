@@ -457,25 +457,26 @@ class Module:
         return out
 
     def load_state_dict(self, state):
-        own = dict(self.named_parameters())
-        buffers = {name: (owner, attr) for name, owner, attr in self.named_buffers()}
-        missing = sorted((set(own) | set(buffers)) - set(state))
-        extra = sorted(set(state) - set(own) - set(buffers))
-        if missing or extra:
-            raise ValueError(f"parameter name mismatch: missing={missing} unexpected={extra}")
-        for name, p in own.items():
+        """Restore every parameter and buffer from `state`. All names and
+        shapes are checked, in sorted order, before anything is written: a
+        failed load leaves the module unchanged, and the error names the
+        first tensor that disagrees."""
+        slots = {name: (p, "values") for name, p in self.named_parameters()}
+        slots.update((name, (owner, attr)) for name, owner, attr in self.named_buffers())
+        arrays = {}
+        for name in sorted(slots.keys() | state.keys()):
+            if name not in state:
+                raise ValueError(f"name mismatch: checkpoint is missing tensor '{name}'")
+            if name not in slots:
+                raise ValueError(f"name mismatch: checkpoint has unexpected tensor '{name}'")
             arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != p.values.shape:
-                raise ValueError(
-                    f"shape mismatch for '{name}': checkpoint {arr.shape} vs model {p.values.shape}")
-            p.values = arr.copy()
-        for name, (owner, attr) in buffers.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != getattr(owner, attr).shape:
-                raise ValueError(
-                    f"shape mismatch for '{name}': checkpoint {arr.shape} "
-                    f"vs model {getattr(owner, attr).shape}")
-            object.__setattr__(owner, attr, arr.copy())
+            want = getattr(*slots[name]).shape
+            if arr.shape != want:
+                raise ValueError(f"shape mismatch for tensor '{name}': "
+                                 f"checkpoint {arr.shape}, model {want}")
+            arrays[name] = arr
+        for name, (owner, attr) in slots.items():
+            object.__setattr__(owner, attr, arrays[name].copy())
 
 
 def zero_grads(params):

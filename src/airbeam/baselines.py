@@ -317,7 +317,7 @@ def pca_hb(h, pt, sigma2):
         # user k hears column j as g[:, k]^H f_bb[:, j]: invert G^H
         f_bb[n] = g @ _solve_gram(g.conj().T @ g, np.eye(k))
     f_bb = normalize_digital_np(f_rf, f_bb, pt, nc)
-    return HybridBeamformer(f_rf=f_rf, f_bb=f_bb, theta_rf=np.angle(f_rf) % (2 * np.pi))
+    return HybridBeamformer(f_rf=f_rf, f_bb=f_bb)
 
 
 def ss_hb(h, dictionary, pt, sigma2):
@@ -345,8 +345,7 @@ def ss_hb(h, dictionary, pt, sigma2):
         resid = target - np.einsum("ms,nsk->nmk", f_rf, f_bb)
     f_rf = codebook[:, chosen]
     f_bb = normalize_digital_np(f_rf, f_bb, pt, nc)
-    return HybridBeamformer(f_rf=f_rf, f_bb=f_bb,
-                            theta_rf=np.angle(f_rf) % (2 * np.pi))
+    return HybridBeamformer(f_rf=f_rf, f_bb=f_bb)
 
 
 def tdd_noise_cov(w_tilde):

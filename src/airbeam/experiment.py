@@ -247,27 +247,26 @@ def _constant_modulus(rng, rows, m):
 
 
 def classical_rates(scheme, cfg, h_pool, seed, grid_az, grid_ze):
-    """Mean sum rate of a non-learned scheme over a channel pool [N,K,M,Nc]."""
+    """Mean sum rate of a non-learned scheme over a channel pool [N,K,M,Nc].
+
+    Beamformers are built one realization at a time, in pool order, and
+    scored together by one batched sum_rate_np call."""
     sigma2 = sigma_from_snr(cfg)
     _, k, m, nc = h_pool.shape
+    if scheme not in CLASSICAL_SCHEMES:
+        raise ValueError(f"unknown scheme '{scheme}'")
     if scheme == "zf_bound":
-        return float(np.mean([
-            sum_rate_np(h, zf_fully_digital(h, cfg.pt, sigma2), sigma2)
-            for h in h_pool]))
-    if scheme == "perfect_pca":
-        return float(np.mean([
-            sum_rate_np(h, pca_hb(h, cfg.pt, sigma2).effective(), sigma2)
-            for h in h_pool]))
-    if scheme == "perfect_ss":
+        effs = [zf_fully_digital(h, cfg.pt, sigma2) for h in h_pool]
+    elif scheme == "perfect_pca":
+        effs = [pca_hb(h, cfg.pt, sigma2).effective() for h in h_pool]
+    elif scheme == "perfect_ss":
         d = AngleDelayDictionary.build(cfg, grid_az, grid_ze)
-        return float(np.mean([
-            sum_rate_np(h, ss_hb(h, d, cfg.pt, sigma2).effective(), sigma2)
-            for h in h_pool]))
-
-    d = AngleDelayDictionary.build(cfg, grid_az, grid_ze)
-    sense_rng = stream_rng(seed, STREAM_SENSING)
-    noise_rng = stream_rng(seed, STREAM_MEASURE)
-    rates = []
+        effs = [ss_hb(h, d, cfg.pt, sigma2).effective() for h in h_pool]
+    else:
+        d = AngleDelayDictionary.build(cfg, grid_az, grid_ze)
+        sense_rng = stream_rng(seed, STREAM_SENSING)
+        noise_rng = stream_rng(seed, STREAM_MEASURE)
+        effs = []
     if scheme in ("swomp_pca", "swomp_ss"):
         # uplink sounding at the base station, colored by the pilot combiner
         w = _constant_modulus(sense_rng, cfg.q_pilots * k, m) / np.sqrt(m)
@@ -282,9 +281,8 @@ def classical_rates(scheme, cfg, h_pool, seed, grid_az, grid_ze):
                 hb = pca_hb(h_hat, cfg.pt, sigma2)
             else:
                 hb = ss_hb(h_hat, d, cfg.pt, sigma2)
-            rates.append(sum_rate_np(h, hb.effective(), sigma2))
-        return float(np.mean(rates))
-    if scheme == "limited_feedback_pca":
+            effs.append(hb.effective())
+    elif scheme == "limited_feedback_pca":
         # downlink sounding at each user, scalar-quantized path parameters back
         x = (_constant_modulus(sense_rng, cfg.q_pilots, m)
              * np.sqrt(cfg.pt / (m * nc)))
@@ -296,17 +294,14 @@ def classical_rates(scheme, cfg, h_pool, seed, grid_az, grid_ze):
                 y = x @ h[j] + awgn((cfg.q_pilots, nc), sigma2, noise_rng)
                 h_hat[j], _ = limited_feedback_rebuild(
                     y, x, d, cfg, cfg.lp_max, quantizer)
-            hb = pca_hb(h_hat, cfg.pt, sigma2)
-            rates.append(sum_rate_np(h, hb.effective(), sigma2))
-        return float(np.mean(rates))
-    raise ValueError(f"unknown scheme '{scheme}'")
+            effs.append(pca_hb(h_hat, cfg.pt, sigma2).effective())
+    return float(np.mean(sum_rate_np(h_pool, np.stack(effs), sigma2)))
 
 
 def _classical_job(payload):
     cfg = SystemConfig.from_dict(payload["cfg"])
-    pool = gen_dataset(cfg, payload["n_eval"], payload["seed"], STREAM_TEST).h
     tic = time.perf_counter()
-    rate = classical_rates(payload["scheme"], cfg, pool, payload["seed"],
+    rate = classical_rates(payload["scheme"], cfg, payload["pool"], payload["seed"],
                            payload["grid_az"], payload["grid_ze"])
     return rate, time.perf_counter() - tic
 
@@ -368,6 +363,7 @@ def run_experiment(exp: ExperimentConfig, eval_only=False, checkpoint=None,
 
     models = {}
     splits_cache = {}
+    pools = {}
 
     def get_splits(cfg):
         key = _pool_key(cfg)
@@ -375,6 +371,14 @@ def run_experiment(exp: ExperimentConfig, eval_only=False, checkpoint=None,
             splits_cache[key] = gen_splits(cfg, tc.n_train, tc.n_val,
                                            tc.n_test, tc.seed)
         return splits_cache[key]
+
+    def pool(cfg):
+        """The seeded test pool, drawn once per channel distribution and
+        shared by classical and learned schemes."""
+        key = _pool_key(cfg)
+        if key not in pools:
+            pools[key] = gen_dataset(cfg, exp.n_eval, tc.seed, STREAM_TEST).h
+        return pools[key]
 
     def save_model(tag, pipe, cfg, hist):
         best_path, final_path = _checkpoint_paths(out_path, tag)
@@ -442,9 +446,12 @@ def run_experiment(exp: ExperimentConfig, eval_only=False, checkpoint=None,
     learned = [(scheme, cfg) for cfg in points for scheme in exp.schemes
                if scheme in LEARNED_SCHEMES]
 
-    if workers > 1 and len(classical) > 1:
-        payloads = [{"scheme": scheme, "cfg": cfg.to_dict(), "seed": tc.seed,
-                     "n_eval": exp.n_eval, "grid_az": exp.grid_az,
+    # fork starts every worker at the first submit, so never ask for more
+    # than there are cores or jobs
+    workers = min(workers, os.cpu_count() or 1, len(classical))
+    if workers > 1:
+        payloads = [{"scheme": scheme, "cfg": cfg.to_dict(), "pool": pool(cfg),
+                     "seed": tc.seed, "grid_az": exp.grid_az,
                      "grid_ze": exp.grid_ze}
                     for scheme, cfg in classical]
         with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -453,27 +460,19 @@ def run_experiment(exp: ExperimentConfig, eval_only=False, checkpoint=None,
                 rows.append(_make_row(exp, scheme, cfg, rate, wall))
                 log(f"{scheme}: {rate:.4f} bps/Hz")
     else:
-        pools = {}
         for scheme, cfg in classical:
-            key = _pool_key(cfg)
-            if key not in pools:
-                pools[key] = gen_dataset(cfg, exp.n_eval, tc.seed,
-                                         STREAM_TEST).h
+            h_pool = pool(cfg)
             tic = time.perf_counter()
-            rate = classical_rates(scheme, cfg, pools[key], tc.seed,
+            rate = classical_rates(scheme, cfg, h_pool, tc.seed,
                                    exp.grid_az, exp.grid_ze)
             rows.append(_make_row(exp, scheme, cfg, rate,
                                   time.perf_counter() - tic))
             log(f"{scheme}: {rate:.4f} bps/Hz")
 
-    pools = {}
     for scheme, cfg in learned:
         tic = time.perf_counter()
         pipe = ensure_model(scheme, cfg)
-        key = _pool_key(cfg)
-        if key not in pools:
-            pools[key] = gen_dataset(cfg, exp.n_eval, tc.seed, STREAM_TEST).h
-        rate = evaluate_rate(pipe, pools[key], sigma_from_snr(cfg), tc.seed)
+        rate = evaluate_rate(pipe, pool(cfg), sigma_from_snr(cfg), tc.seed)
         rows.append(_make_row(exp, scheme, cfg, rate,
                               time.perf_counter() - tic))
         log(f"{scheme}: {rate:.4f} bps/Hz")

@@ -60,9 +60,9 @@ def save_checkpoint(path, model, cfg, meta=None):
 def load_checkpoint(path, model=None):
     """Read a checkpoint; returns (config dict, meta dict, state dict).
 
-    With `model` given, the state is validated against the model's own
-    parameter names and shapes and then restored into it; the first
-    tensor that disagrees is named in the error.
+    With `model` given, the state is restored into it through
+    `Module.load_state_dict`, which checks every name and shape first and
+    names the first tensor that disagrees.
     """
     with open(path, "rb") as f:
         if _read_exact(f, 4) != MAGIC:
@@ -84,15 +84,5 @@ def load_checkpoint(path, model=None):
         if f.read(1):
             raise ValueError(f"{path} has trailing bytes after the last entry")
     if model is not None:
-        own = model.state_dict()
-        for name in sorted(own.keys() | state.keys()):
-            if name not in state:
-                raise ValueError(f"checkpoint is missing tensor '{name}'")
-            if name not in own:
-                raise ValueError(f"checkpoint has unexpected tensor '{name}'")
-            if state[name].shape != own[name].shape:
-                raise ValueError(
-                    f"shape mismatch for '{name}': checkpoint "
-                    f"{state[name].shape}, model {own[name].shape}")
         model.load_state_dict(state)
     return header["system"], header["meta"], state

@@ -203,10 +203,11 @@ def pilot_phases(mode, cfg, rng):
     return Tensor(rng.uniform(0.0, 2.0 * np.pi, shape), requires_grad=True)
 
 
-class TddPipeline(Module):
-    """Uplink sounding -> decoder -> hybrid beamformer, end to end."""
-
-    mode = "tdd"
+class Pipeline(Module):
+    """Set-up shared by both pipelines: the config, the layer widths, and the
+    trainable sounding phases. The phases are drawn before the networks;
+    that order fixes the initial weights a seed gives. Subclasses set `mode`
+    and add their networks in _build."""
 
     def __init__(self, cfg, spec=None, rng=None):
         super().__init__()
@@ -214,13 +215,22 @@ class TddPipeline(Module):
         spec = spec if spec is not None else NetworkSpec.scaled(cfg)
         self.cfg = cfg
         self.spec = spec
-        self.phi = pilot_phases("tdd", cfg, rng)
-        self.net = UplinkBeamformerNet(cfg, spec, rng)
+        self.phi = pilot_phases(self.mode, cfg, rng)
+        self._build(cfg, spec, rng)
 
     def _phases(self, theta, soft):
         if self.cfg.phase_bits > 0 and not soft:
             return quantize_phases_st(theta, self.cfg.phase_bits)
         return theta
+
+
+class TddPipeline(Pipeline):
+    """Uplink sounding -> decoder -> hybrid beamformer, end to end."""
+
+    mode = "tdd"
+
+    def _build(self, cfg, spec, rng):
+        self.net = UplinkBeamformerNet(cfg, spec, rng)
 
     def beamformers(self, h, sigma2, rng, soft=False):
         phi = self._phases(self.phi, soft)
@@ -235,25 +245,14 @@ class TddPipeline(Module):
         return sum_rate(h, f_rf, f_bb, sigma2)
 
 
-class FddPipeline(Module):
+class FddPipeline(Pipeline):
     """Downlink sounding -> per-user feedback bits -> decoder -> beamformer."""
 
     mode = "fdd"
 
-    def __init__(self, cfg, spec=None, rng=None):
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-        spec = spec if spec is not None else NetworkSpec.scaled(cfg)
-        self.cfg = cfg
-        self.spec = spec
-        self.phi = pilot_phases("fdd", cfg, rng)
+    def _build(self, cfg, spec, rng):
         self.encoder = FeedbackEncoderNet(cfg, spec, rng)
         self.decoder = FeedbackBeamformerNet(cfg, spec, rng)
-
-    def _phases(self, theta, soft):
-        if self.cfg.phase_bits > 0 and not soft:
-            return quantize_phases_st(theta, self.cfg.phase_bits)
-        return theta
 
     def beamformers(self, h, sigma2, rng, soft=False):
         phi = self._phases(self.phi, soft)

@@ -29,7 +29,6 @@ def stream_rng(seed, *key):
 @dataclass
 class Dataset:
     h: np.ndarray               # [N, K, M, Nc] complex128
-    paths: list                 # [N][K] PathSet
 
     def __len__(self):
         return self.h.shape[0]
@@ -45,12 +44,9 @@ class DataSplits:
 def gen_dataset(cfg: SystemConfig, n_samples, seed, stream):
     """Draw n_samples channel realizations on the given stream id."""
     h = np.empty((n_samples, cfg.k_users, cfg.m_antennas, cfg.nc), dtype=np.complex128)
-    paths = []
     for i in range(n_samples):
-        real = gen_channel(cfg, stream_rng(seed, stream, i))
-        h[i] = real.h
-        paths.append(real.paths)
-    return Dataset(h=h, paths=paths)
+        h[i] = gen_channel(cfg, stream_rng(seed, stream, i)).h
+    return Dataset(h=h)
 
 
 def gen_splits(cfg, n_train, n_val, n_test, seed):

@@ -473,7 +473,7 @@ def test_hybrid_beamformer_validate():
     theta = RNG.uniform(0, 2 * np.pi, size=(m, k))
     f_rf = np.exp(1j * theta)
     f_bb = normalize_digital_np(f_rf, random_h(1, nc, k, k)[0], pt, nc)
-    hb = HybridBeamformer(f_rf=f_rf, f_bb=f_bb, theta_rf=theta)
+    hb = HybridBeamformer(f_rf=f_rf, f_bb=f_bb)
     hb.validate(pt, nc)
     assert hb.effective().shape == (nc, m, k)
     with pytest.raises(ValueError):

@@ -267,3 +267,24 @@ def test_state_dict_round_trip_and_mismatch():
         b.load_state_dict(bad)
     with pytest.raises(ValueError, match="mismatch"):
         b.load_state_dict({"nope": np.zeros(4)})
+
+
+@pytest.mark.parametrize("bad", ["b", "stat"])
+def test_failed_load_leaves_module_unchanged(bad):
+    class Net(Module):
+        def __init__(self):
+            super().__init__()
+            self.a = Tensor(np.zeros(3), requires_grad=True)
+            self.b = Tensor(np.zeros(4), requires_grad=True)
+            self.stat = np.zeros(2)
+
+    net = Net()
+    before = net.state_dict()
+    state = {"a": np.ones(3), "b": np.ones(4), "stat": np.ones(2)}
+    state[bad] = np.ones(5)
+    with pytest.raises(ValueError, match=f"shape mismatch for .*'{bad}'"):
+        net.load_state_dict(state)
+    after = net.state_dict()
+    assert sorted(after) == sorted(before)
+    for name in before:
+        np.testing.assert_array_equal(after[name], before[name])

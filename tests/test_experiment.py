@@ -1,10 +1,14 @@
 """Config parsing, scheme evaluation, sweeps, CLI exit codes, reproducibility."""
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from airbeam import experiment
+from airbeam.baselines import AngleDelayDictionary, pca_hb, ss_hb, zf_fully_digital
 from airbeam.channel import SystemConfig, sigma_from_snr
 from airbeam.experiment import (
     ConfigError,
@@ -19,11 +23,14 @@ from airbeam.io import load_checkpoint
 from airbeam.networks import build_pipeline
 from airbeam.training import (
     STREAM_INIT,
+    STREAM_TEST,
     STREAM_VAL,
     evaluate_rate,
     gen_dataset,
     stream_rng,
 )
+
+from test_airlink import rate_oracle
 
 BASE_CFG = """\
 [system]
@@ -64,9 +71,15 @@ def read_rows(path, drop_wall=True):
     return lines
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def cli(args, **kw):
+    # the child interpreter does not inherit pytest's pythonpath setting
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "airbeam.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kw)
 
 
 # -- config parsing --------------------------------------------------------
@@ -193,6 +206,23 @@ def test_classical_rates_deterministic():
     a = classical_rates("swomp_ss", cfg, pool, 5, 4, 4)
     b = classical_rates("swomp_ss", cfg, pool, 5, 4, 4)
     assert a == b
+
+
+def test_batched_scoring_matches_scalar_oracle():
+    # one batched rate call must pair realization i with its own beamformer
+    cfg = SystemConfig(ny=2, nz=2, nc=4, k_users=2, q_pilots=2, snr_db=5.0)
+    sigma2 = sigma_from_snr(cfg)
+    pool = gen_dataset(cfg, 6, 3, STREAM_TEST).h
+    d = AngleDelayDictionary.build(cfg, 4, 4)
+    beams = {
+        "zf_bound": lambda h: zf_fully_digital(h, cfg.pt, sigma2),
+        "perfect_pca": lambda h: pca_hb(h, cfg.pt, sigma2).effective(),
+        "perfect_ss": lambda h: ss_hb(h, d, cfg.pt, sigma2).effective(),
+    }
+    for scheme, beam in beams.items():
+        want = np.mean([rate_oracle(h, beam(h), sigma2) for h in pool])
+        got = classical_rates(scheme, cfg, pool, 3, 4, 4)
+        assert abs(got - want) <= 1e-12 * abs(want), scheme
 
 
 # -- full runs -------------------------------------------------------------
@@ -327,6 +357,58 @@ def test_parallel_workers_match_serial(tmp_path):
     run_experiment(parse_config(p1), workers=1)
     run_experiment(parse_config(p2), workers=2)
     assert read_rows(tmp_path / "serial.csv") == read_rows(tmp_path / "par.csv")
+
+
+class SerialExecutor:
+    """Stand-in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cores,expect", [(4, [2]), (1, [])])
+def test_worker_pool_capped_at_cores_and_jobs(tmp_path, monkeypatch, cores,
+                                              expect):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(SerialExecutor, "requested", [])
+    extra = "sweep_axis = snr_db\nsweep_values = 0, 10\nn_eval = 4\nout = {out}\n"
+    capped = write_cfg(tmp_path, "zf_bound",
+                       extra.format(out=tmp_path / "capped.csv"), name="c.cfg")
+    serial = write_cfg(tmp_path, "zf_bound",
+                       extra.format(out=tmp_path / "serial.csv"), name="s.cfg")
+    run_experiment(parse_config(capped), workers=10_000)
+    assert SerialExecutor.requested == expect
+    run_experiment(parse_config(serial), workers=1)
+    assert read_rows(tmp_path / "capped.csv") == read_rows(tmp_path / "serial.csv")
+
+
+def test_one_test_pool_per_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    draws = []
+
+    def counted(cfg, n, seed, stream):
+        draws.append(stream)
+        return gen_dataset(cfg, n, seed, stream)
+
+    monkeypatch.setattr(experiment, "gen_dataset", counted)
+    path = write_cfg(tmp_path, "proposed_tdd, zf_bound, perfect_pca",
+                     f"n_eval = 8\nout = {tmp_path}/r.csv\n")
+    rows = run_experiment(parse_config(path), workers=2)
+    assert len(rows) == 3
+    assert draws.count(STREAM_TEST) == 1
 
 
 def test_cli_run_and_exit_codes(tmp_path):

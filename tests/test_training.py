@@ -34,7 +34,7 @@ def tiny_cfg(**kw):
 
 def stub_splits(n_train=4, n_val=2):
     def block(n):
-        return Dataset(h=np.zeros((n, 1, 2, 2), dtype=complex), paths=[None] * n)
+        return Dataset(h=np.zeros((n, 1, 2, 2), dtype=complex))
     return DataSplits(train=block(n_train), val=block(n_val), test=block(2))
 
 
