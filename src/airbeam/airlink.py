@@ -183,11 +183,6 @@ def bit_surrogate(x):
     return straight_through(x, lambda v: np.where(v >= 0, 0.5, -0.5))
 
 
-def bits_to_surrogate(bits):
-    """Map hard bits {0,1} to the +-0.5 levels the beamformer network eats."""
-    return np.asarray(bits, dtype=np.float64) - 0.5
-
-
 # -- containers ------------------------------------------------------------
 
 

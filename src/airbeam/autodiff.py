@@ -75,9 +75,6 @@ class Tensor:
             raise ValueError(f"item() needs a one-element tensor, got shape {self.values.shape}")
         return self.values.item()
 
-    def detach(self):
-        return Tensor(self.values)
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into .grad of every reachable tensor.
 

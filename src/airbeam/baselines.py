@@ -16,17 +16,6 @@ from .airlink import HybridBeamformer, normalize_digital_np
 from .channel import PathSet, SystemConfig, channel_matrix
 
 
-def nmse_db(h_hat, h):
-    """10*log10(||h_hat - h||^2 / ||h||^2); -inf for an exact match."""
-    err = np.linalg.norm(h_hat - h) ** 2
-    ref = np.linalg.norm(h) ** 2
-    if ref == 0:
-        raise ValueError("reference channel has zero energy")
-    if err == 0:
-        return -np.inf
-    return 10.0 * np.log10(err / ref)
-
-
 def _solve_gram(gram, rhs):
     """Normal-equation solve with a ridge fallback for rank deficiency."""
     if np.linalg.cond(gram) > 1e12:

@@ -100,27 +100,46 @@ class ChannelRealization:
     h: np.ndarray               # [K, M, Nc] complex128
 
 
-def array_response(azimuth, zenith, ny, nz):
-    """UPA steering vector, length ny*nz, y-index varying fastest.
+def channel_matrices(gain, azimuth, zenith, delay, cfg: SystemConfig):
+    """Frequency responses [P, M, Nc] of P path sets with L paths each
+    ([P, L] parameter arrays), Eq-style synthesis: column n sums
+    gain * steering * exp(-j*2*pi*n*tau/(Nc*Ts)) over paths, normalized by
+    1/sqrt(L).
 
-    Element (n, m) has phase pi*(n*sin(az)*cos(ze) + m*sin(ze)) under
-    half-wavelength spacing; entries have unit modulus.
+    The UPA steering vector has length ny*nz with the y index varying
+    fastest; element (n, m) has phase pi*(n*sin(az)*cos(ze) + m*sin(ze))
+    under half-wavelength spacing. Every element is formed by the same
+    scalar operations whatever P is, so a path set's channel does not depend
+    on which others share its batch.
     """
-    ay = np.exp(1j * np.pi * np.arange(ny) * (np.sin(azimuth) * np.cos(zenith)))
-    az = np.exp(1j * np.pi * np.arange(nz) * np.sin(zenith))
-    return (az[:, None] * ay[None, :]).reshape(-1)
+    n_sets, n_paths = gain.shape
+    ay = np.exp(1j * np.pi * np.arange(cfg.ny) * (np.sin(azimuth) * np.cos(zenith))[..., None])
+    az = np.exp(1j * np.pi * np.arange(cfg.nz) * np.sin(zenith)[..., None])
+    steer = (az[..., :, None] * ay[..., None, :]).reshape(n_sets, n_paths, -1)
+    # [P, M, L] in C order: every stacked matmul takes the operand layout of a
+    # lone [M, L] @ [L, Nc] product, so batch size does not change rounding
+    steer = np.ascontiguousarray(steer.transpose(0, 2, 1))
+    n_idx = np.arange(cfg.nc)
+    phasor = np.exp(-2j * np.pi * (delay[..., None] * n_idx) / (cfg.nc * cfg.ts_s))  # [P, L, Nc]
+    return (steer * gain[:, None, :]) @ phasor / np.sqrt(n_paths)
+
+
+def path_set_channels(paths, cfg: SystemConfig):
+    """Channels [len(paths), M, Nc] of a list of PathSets, one
+    channel_matrices call per distinct path count."""
+    h = np.empty((len(paths), cfg.m_antennas, cfg.nc), dtype=np.complex128)
+    for n_paths in sorted({len(p.gain) for p in paths}):
+        idx = [i for i, p in enumerate(paths) if len(p.gain) == n_paths]
+        group = [paths[i] for i in idx]
+        h[idx] = channel_matrices(*(np.stack([getattr(p, name) for p in group])
+                                    for name in ("gain", "azimuth", "zenith", "delay")), cfg)
+    return h
 
 
 def channel_matrix(paths: PathSet, cfg: SystemConfig):
-    """Frequency response from explicit path parameters, Eq-style synthesis:
-    column n sums gain * steering * exp(-j*2*pi*n*tau/(Nc*Ts)) over paths,
-    normalized by 1/sqrt(#paths)."""
-    n_paths = len(paths.gain)
-    steer = np.stack([array_response(a, z, cfg.ny, cfg.nz)
-                      for a, z in zip(paths.azimuth, paths.zenith)], axis=1)   # [M, L]
-    n_idx = np.arange(cfg.nc)
-    phasor = np.exp(-2j * np.pi * np.outer(paths.delay, n_idx) / (cfg.nc * cfg.ts_s))  # [L, Nc]
-    return (steer * paths.gain[None, :]) @ phasor / np.sqrt(n_paths)
+    """Frequency response [M, Nc] of one PathSet (see channel_matrices)."""
+    return channel_matrices(paths.gain[None], paths.azimuth[None], paths.zenith[None],
+                            paths.delay[None], cfg)[0]
 
 
 def _draw_gains(rng, n):
@@ -140,7 +159,7 @@ def draw_multipath(cfg: SystemConfig, rng) -> PathSet:
 def draw_cluster(cfg: SystemConfig, rng) -> PathSet:
     """Clustered rays: each cluster has a center angle pair and a delay; rays
     scatter around them. Gains stay unit-variance; normalization by the total
-    ray count happens in channel_matrix."""
+    ray count happens in channel_matrices."""
     jc, jp = cfg.jc_clusters, cfg.jp_rays
     az = np.empty(jc * jp)
     ze = np.empty(jc * jp)
@@ -162,12 +181,17 @@ def draw_cluster(cfg: SystemConfig, rng) -> PathSet:
     )
 
 
+def draw_users(cfg: SystemConfig, rng):
+    """Independent path sets of the K users of one realization, drawn in
+    user order."""
+    draw = draw_multipath if cfg.channel_kind == "multipath" else draw_cluster
+    return [draw(cfg, rng) for _ in range(cfg.k_users)]
+
+
 def gen_channel(cfg: SystemConfig, rng) -> ChannelRealization:
     """One realization: independent per-user path draws."""
-    draw = draw_multipath if cfg.channel_kind == "multipath" else draw_cluster
-    paths = [draw(cfg, rng) for _ in range(cfg.k_users)]
-    h = np.stack([channel_matrix(p, cfg) for p in paths])
-    return ChannelRealization(paths=paths, h=h)
+    paths = draw_users(cfg, rng)
+    return ChannelRealization(paths=paths, h=path_set_channels(paths, cfg))
 
 
 def sigma_from_snr(cfg: SystemConfig):
@@ -194,9 +218,3 @@ def dft_matrix(nc):
     """Unitary DFT of size nc (1/sqrt(nc) scaling)."""
     idx = np.arange(nc)
     return np.exp(-2j * np.pi * np.outer(idx, idx) / nc) / np.sqrt(nc)
-
-
-def dft_delay_transform(y):
-    """Rotate the subcarrier axis (axis -2) into the delay domain."""
-    nc = y.shape[-2]
-    return dft_matrix(nc) @ y

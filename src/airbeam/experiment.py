@@ -15,7 +15,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -246,6 +248,15 @@ def _constant_modulus(rng, rows, m):
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (rows, m)))
 
 
+@lru_cache(maxsize=1)
+def _feedback_quantizer(delay_spread_s, lp_max, feedback_bits, seed):
+    """Lloyd-max codebooks for limited_feedback_pca. They depend on the system
+    only through its delay spread, not on snr_db, so an SNR sweep trains them
+    once."""
+    prior = SimpleNamespace(delay_spread_s=delay_spread_s)
+    return PathParameterQuantizer.train(prior, lp_max, feedback_bits, seed=seed)
+
+
 def classical_rates(scheme, cfg, h_pool, seed, grid_az, grid_ze):
     """Mean sum rate of a non-learned scheme over a channel pool [N,K,M,Nc].
 
@@ -286,8 +297,8 @@ def classical_rates(scheme, cfg, h_pool, seed, grid_az, grid_ze):
         # downlink sounding at each user, scalar-quantized path parameters back
         x = (_constant_modulus(sense_rng, cfg.q_pilots, m)
              * np.sqrt(cfg.pt / (m * nc)))
-        quantizer = PathParameterQuantizer.train(cfg, cfg.lp_max,
-                                                 cfg.feedback_bits, seed=seed)
+        quantizer = _feedback_quantizer(cfg.delay_spread_s, cfg.lp_max,
+                                        cfg.feedback_bits, seed)
         for h in h_pool:
             h_hat = np.empty_like(h)
             for j in range(k):

@@ -3,7 +3,7 @@ pretrain/transfer/fine-tune procedure for quantized phase shifters.
 
 Reproducibility model: every random draw comes from a Generator seeded by
 (seed, stream, index) through SeedSequence spawn keys, so sample i of a
-split is the same bit pattern no matter how many workers produced it, and
+split is the same bit pattern for any pool size or chunking, and
 train/val/test streams never overlap.
 """
 from __future__ import annotations
@@ -14,12 +14,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import no_grad, zero_grads
-from .channel import SystemConfig, gen_channel, sigma_from_snr
+from .channel import SystemConfig, draw_users, path_set_channels, sigma_from_snr
 from .networks import build_pipeline
 
 # Stream ids for SeedSequence spawn keys.
 STREAM_TRAIN, STREAM_VAL, STREAM_TEST = 0, 1, 2
 STREAM_SHUFFLE, STREAM_TRAIN_NOISE, STREAM_EVAL_NOISE, STREAM_INIT = 3, 4, 5, 6
+
+# Samples synthesized per batch in gen_dataset; bounds the temporaries.
+GEN_CHUNK = 64
 
 
 def stream_rng(seed, *key):
@@ -42,10 +45,16 @@ class DataSplits:
 
 
 def gen_dataset(cfg: SystemConfig, n_samples, seed, stream):
-    """Draw n_samples channel realizations on the given stream id."""
-    h = np.empty((n_samples, cfg.k_users, cfg.m_antennas, cfg.nc), dtype=np.complex128)
-    for i in range(n_samples):
-        h[i] = gen_channel(cfg, stream_rng(seed, stream, i)).h
+    """Draw n_samples channel realizations on the given stream id.
+
+    Sample i is channel.gen_channel on its own generator; the channels are
+    synthesized GEN_CHUNK samples at a time."""
+    k, m, nc = cfg.k_users, cfg.m_antennas, cfg.nc
+    h = np.empty((n_samples, k, m, nc), dtype=np.complex128)
+    for lo in range(0, n_samples, GEN_CHUNK):
+        hi = min(lo + GEN_CHUNK, n_samples)
+        paths = [p for i in range(lo, hi) for p in draw_users(cfg, stream_rng(seed, stream, i))]
+        h[lo:hi] = path_set_channels(paths, cfg).reshape(hi - lo, k, m, nc)
     return Dataset(h=h)
 
 

@@ -21,7 +21,6 @@ from airbeam.airlink import (
 from airbeam.autodiff import Tensor, cap_scale, concat, log2, mish, straight_through
 from airbeam.baselines import (
     AngleDelayDictionary,
-    nmse_db,
     pca_hb,
     ss_hb,
     sw_omp_estimate,
@@ -51,7 +50,7 @@ from airbeam.training import (
     train,
 )
 
-from helpers import check_grads
+from helpers import check_grads, nmse_db
 
 
 def verdict(num, title, ok, detail):

@@ -6,7 +6,6 @@ from airbeam.airlink import (
     HybridBeamformer,
     assemble_analog,
     bit_surrogate,
-    bits_to_surrogate,
     downlink_pilot_symbols,
     effective_beamformer,
     fdd_downlink_pilots,
@@ -23,7 +22,7 @@ from airbeam.airlink import (
 from airbeam.autodiff import Tensor, concat
 from airbeam.cplx import ComplexPair, as_pair
 
-from helpers import check_grads
+from helpers import bits_to_surrogate, check_grads
 
 RNG = np.random.default_rng(7)
 

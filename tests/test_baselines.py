@@ -9,7 +9,6 @@ from airbeam.baselines import (
     extract_path_params,
     limited_feedback_rebuild,
     lloyd_max,
-    nmse_db,
     pca_hb,
     quantize_scalar,
     ss_hb,
@@ -17,7 +16,9 @@ from airbeam.baselines import (
     tdd_noise_cov,
     zf_fully_digital,
 )
-from airbeam.channel import PathSet, SystemConfig, array_response, channel_matrix
+from airbeam.channel import PathSet, SystemConfig, channel_matrix
+
+from helpers import array_response, nmse_db
 
 RNG = np.random.default_rng(23)
 

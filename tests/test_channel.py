@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from airbeam.channel import (ChannelRealization, PathSet, SystemConfig,
-                             array_response, awgn, channel_matrix,
-                             dft_delay_transform, dft_matrix, draw_cluster,
+                             awgn, channel_matrix, dft_matrix, draw_cluster,
                              draw_multipath, gen_channel, sigma_from_snr)
+
+from helpers import array_response, channel_matrix_loop, dft_delay_transform
 
 
 def direct_channel_oracle(paths, cfg):
@@ -71,6 +72,27 @@ def test_channel_matches_direct_oracle():
             want = direct_channel_oracle(real.paths[k], cfg)
             scale = np.abs(want).max()
             assert np.abs(real.h[k] - want).max() / scale < 1e-12
+
+
+@pytest.mark.parametrize("system", [
+    dict(),
+    dict(ny=8, nz=8, nc=32, k_users=4),
+    dict(lp_min=1, lp_max=8),
+    dict(channel_kind="cluster"),
+    dict(ny=3, nz=5, k_users=3, lp_min=1, lp_max=4),
+    dict(ny=1, nz=1, nc=1, k_users=1, lp_min=1, lp_max=3),
+], ids=["desk", "paper", "lp1-8", "cluster", "ny3-nz5-k3", "scalar"])
+def test_synthesis_matches_per_path_loop_bitwise(system):
+    cfg = SystemConfig(**system)
+    draw = draw_multipath if cfg.channel_kind == "multipath" else draw_cluster
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        real = gen_channel(cfg, rng)
+        assert real.h.shape == (cfg.k_users, cfg.m_antennas, cfg.nc)
+        for k, p in enumerate(real.paths):
+            assert np.array_equal(real.h[k], channel_matrix_loop(p, cfg))
+        p = draw(cfg, rng)
+        assert np.array_equal(channel_matrix(p, cfg), channel_matrix_loop(p, cfg))
 
 
 def test_mean_entry_power_multipath():

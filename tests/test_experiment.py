@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from airbeam import experiment
-from airbeam.baselines import AngleDelayDictionary, pca_hb, ss_hb, zf_fully_digital
+from airbeam.baselines import (
+    AngleDelayDictionary,
+    PathParameterQuantizer,
+    pca_hb,
+    ss_hb,
+    zf_fully_digital,
+)
 from airbeam.channel import SystemConfig, sigma_from_snr
 from airbeam.experiment import (
     ConfigError,
@@ -223,6 +229,37 @@ def test_batched_scoring_matches_scalar_oracle():
         want = np.mean([rate_oracle(h, beam(h), sigma2) for h in pool])
         got = classical_rates(scheme, cfg, pool, 3, 4, 4)
         assert abs(got - want) <= 1e-12 * abs(want), scheme
+
+
+def test_feedback_codebooks_trained_once_per_seed(monkeypatch):
+    cfg = SystemConfig(ny=2, nz=2, nc=4, k_users=2, q_pilots=2, feedback_bits=12)
+    pool = gen_dataset(cfg, 4, 3, STREAM_TEST).h
+    snrs = (0.0, 10.0, 20.0)
+
+    def sweep(seed, uncached=False):
+        rates = []
+        for snr in snrs:
+            if uncached:
+                experiment._feedback_quantizer.cache_clear()
+            rates.append(classical_rates("limited_feedback_pca", apply_axis(cfg, "snr_db", snr),
+                                         pool, seed, 4, 4))
+        return rates
+
+    want = {seed: sweep(seed, uncached=True) for seed in (5, 6)}
+    experiment._feedback_quantizer.cache_clear()
+    calls = []
+    train = vars(PathParameterQuantizer)["train"].__func__
+
+    def counted(cls, *args, **kw):
+        calls.append(kw["seed"])
+        return train(cls, *args, **kw)
+
+    monkeypatch.setattr(PathParameterQuantizer, "train", classmethod(counted))
+    assert sweep(5) == want[5]
+    assert calls == [5]
+    assert sweep(6) == want[6]
+    assert calls == [5, 6]
+    experiment._feedback_quantizer.cache_clear()
 
 
 # -- full runs -------------------------------------------------------------

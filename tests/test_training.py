@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from airbeam.autodiff import Module, Tensor, astensor
-from airbeam.channel import SystemConfig
+from airbeam.channel import SystemConfig, draw_cluster, draw_multipath
 from airbeam.networks import NetworkSpec, build_pipeline
 from airbeam.training import (
+    GEN_CHUNK,
+    STREAM_TEST,
     STREAM_TRAIN,
     STREAM_VAL,
     Adam,
@@ -19,6 +21,8 @@ from airbeam.training import (
     stream_rng,
     train,
 )
+
+from helpers import channel_matrix_loop
 
 SPEC = NetworkSpec(user_widths=(12, 10, 8), fusion_widths=(16, 12, 10),
                    encoder_widths=(12, 10), decoder_widths=(16, 12, 10),
@@ -73,6 +77,39 @@ def test_dataset_samples_do_not_depend_on_pool_size():
     small = gen_dataset(cfg, 3, seed=5, stream=STREAM_TRAIN)
     large = gen_dataset(cfg, 6, seed=5, stream=STREAM_TRAIN)
     np.testing.assert_array_equal(small.h, large.h[:3])
+    # a pool that spans two synthesis chunks
+    crossing = gen_dataset(cfg, GEN_CHUNK + 5, seed=5, stream=STREAM_TRAIN)
+    np.testing.assert_array_equal(large.h, crossing.h[:6])
+    below = gen_dataset(cfg, GEN_CHUNK - 1, seed=5, stream=STREAM_TRAIN)
+    np.testing.assert_array_equal(below.h, crossing.h[:GEN_CHUNK - 1])
+
+
+def per_sample_oracle(cfg, n_samples, seed, stream):
+    """The per-sample loop: one generator per sample, K per-user draws, and
+    one per-path synthesis per user."""
+    draw = draw_multipath if cfg.channel_kind == "multipath" else draw_cluster
+    h = np.empty((n_samples, cfg.k_users, cfg.m_antennas, cfg.nc), dtype=complex)
+    for i in range(n_samples):
+        rng = stream_rng(seed, stream, i)
+        for k in range(cfg.k_users):
+            h[i, k] = channel_matrix_loop(draw(cfg, rng), cfg)
+    return h
+
+
+@pytest.mark.parametrize("system", [
+    dict(ny=4, nz=4, nc=8, k_users=2, lp_min=2, lp_max=2),     # desk
+    dict(ny=8, nz=8, nc=32, k_users=4, lp_min=2, lp_max=2),    # paper
+    dict(ny=4, nz=4, nc=8, k_users=2, lp_min=1, lp_max=8),
+    dict(ny=4, nz=4, nc=8, k_users=2, channel_kind="cluster"),
+    dict(ny=3, nz=5, nc=8, k_users=3, lp_min=1, lp_max=4),
+], ids=["desk", "paper", "lp1-8", "cluster", "ny3-nz5-k3"])
+def test_batched_dataset_matches_per_sample_oracle_bitwise(system):
+    cfg = SystemConfig(**system)
+    want = per_sample_oracle(cfg, 300, seed=11, stream=STREAM_TEST)
+    for n in (0, 1, GEN_CHUNK - 1, GEN_CHUNK, GEN_CHUNK + 1, 300):
+        got = gen_dataset(cfg, n, seed=11, stream=STREAM_TEST).h
+        assert got.shape == (n, cfg.k_users, cfg.m_antennas, cfg.nc)
+        assert np.array_equal(got, want[:n]), f"n={n}"
 
 
 def test_splits_are_disjoint_and_reproducible():
