@@ -194,12 +194,5 @@ class HybridBeamformer:
     f_rf: np.ndarray            # [M, K] unit-modulus entries
     f_bb: np.ndarray            # [Nc, K, K]
 
-    def validate(self, pt, nc, tol=1e-9):
-        if not np.allclose(np.abs(self.f_rf), 1.0, atol=tol):
-            raise ValueError("analog beamformer entries must have unit modulus")
-        norms = np.linalg.norm(self.f_rf[None] @ self.f_bb, axis=(1, 2))
-        if np.any(norms > np.sqrt(pt / nc) + tol):
-            raise ValueError("hybrid beamformer exceeds the per-subcarrier power budget")
-
     def effective(self):
         return self.f_rf[None] @ self.f_bb

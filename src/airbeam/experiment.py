@@ -58,6 +58,11 @@ ALL_SCHEMES = LEARNED_SCHEMES + CLASSICAL_SCHEMES
 SWEEP_AXES = ("snr_db", "feedback_bits", "q_pilots", "k_users", "lp",
               "phase_bits")
 
+# system fields that define a trained model or the physics it was trained
+# for; an eval-only run refuses a checkpoint that differs on any of them
+MODEL_FIELDS = ("ny", "nz", "nc", "k_users", "q_pilots", "feedback_bits",
+                "phase_bits", "pt", "ts_s", "channel_kind")
+
 CSV_HEADER = ("scheme,snr_db,q,b,k,lp,b_phase,sum_rate_bps_hz,"
               "n_realizations,seed,wall_clock_s")
 
@@ -332,6 +337,17 @@ def _checkpoint_paths(out_csv, tag):
     return d / f"ck_{tag}.bin", d / f"ck_{tag}_final.bin"
 
 
+def _check_checkpoint_system(path, system, cfg):
+    """Raise ConfigError naming the first model field on which a
+    checkpoint's system header differs from the config it is loaded for."""
+    for field in MODEL_FIELDS:
+        want = getattr(cfg, field)
+        if system.get(field) != want:
+            raise ConfigError(
+                f"checkpoint {path}: {field} is {system.get(field)!r}, "
+                f"the experiment has {want!r}")
+
+
 def _pool_key(cfg):
     # fields that change the test channel distribution
     return (cfg.k_users, cfg.lp_min, cfg.lp_max, cfg.channel_kind,
@@ -426,9 +442,11 @@ def run_experiment(exp: ExperimentConfig, eval_only=False, checkpoint=None,
                 raise CheckpointMissing(
                     f"no checkpoint for '{final_tag}' at {path}")
             cfg_model = replace(base_cfg, phase_bits=pb)
+            system, _, state = load_checkpoint(path)
+            _check_checkpoint_system(path, system, cfg_model)
             pipe = build_pipeline(mode, cfg_model,
                                   rng=stream_rng(tc.seed, STREAM_INIT))
-            load_checkpoint(path, pipe)
+            pipe.load_state_dict(state)
             models[final_tag] = pipe
             return pipe
 

@@ -5,9 +5,21 @@ Convolutions run along the last axis of [batch, channels, 1, length] inputs
 batch norm normalizes per channel over every other axis.
 
 Conv1d and BatchNorm are each a single fused graph node with a hand-written
-backward pass, as is `autodiff.mish`: Conv1d is one im2col GEMM forward and
-two GEMMs plus a col2im scatter-add backward (Chellapilla et al. 2006);
-BatchNorm uses the closed-form backward of Ioffe & Szegedy (2015). Dense
+backward pass, as is `autodiff.mish`. Conv1d picks its form from the input
+length L and the kernel width k:
+
+- L <= 2k (the desk system's 8 subcarriers): one GEMM of the flattened input
+  [B, C*L] against a banded [C*L, O*L] matrix that holds each tap on one
+  diagonal, so the output comes out in [B, O, 1, L] order with no padding,
+  im2col or transpose. It does L/k times the multiply-adds of im2col, which
+  pays only while that ratio is small, and the backward pass is two GEMMs
+  plus a fold of each tap's diagonal back into the weight gradient.
+- L > 2k (paper scale, 32 subcarriers): one im2col GEMM forward and two
+  GEMMs plus a col2im scatter-add backward (Chellapilla et al. 2006).
+
+BatchNorm keeps the closed-form backward of Ioffe & Szegedy (2015) and does
+its per-channel broadcasts on rows [B, C*S], S the product of the trailing
+axes, so the inner loops run over whole rows rather than S elements. Dense
 stays a composition of matmul and add.
 """
 from __future__ import annotations
@@ -55,10 +67,43 @@ class Conv1d(Module):
         if x.ndim != 4 or x.shape[1] != self.c_in or x.shape[2] != 1:
             raise ValueError(
                 f"conv expects [batch, {self.c_in}, 1, length], got {x.shape}")
-        nb, c, _, length = x.shape
+        length = x.shape[3]
         if length < 1:
             raise ValueError(f"conv input length must be >= 1, got {length}")
+        if length <= 2 * self.kernel:
+            return self._banded(x)
+        return self._im2col(x)
+
+    def _banded(self, x):
         w, b, k = self.w, self.b, self.kernel
+        nb, c, _, length = x.shape
+        o = self.c_out
+        # shift[t, j, l] = 1 where input position j feeds output l through tap t
+        offset = np.arange(length)[:, None] - np.arange(length) + k // 2
+        shift = (offset == np.arange(k)[:, None, None]).astype(np.float64)
+        # band[(c, j), (o, l)] = w[o, c, j - l + k//2] inside the band, else 0
+        band = np.tensordot(w.values, shift, axes=(2, 0)).transpose(1, 2, 0, 3)
+        band = band.reshape(c * length, o * length)
+        xf = x.values.reshape(nb, c * length)
+        out = xf @ band
+        out += np.repeat(b.values, length)
+
+        def bw(g):
+            gf = g.reshape(nb, o * length)
+            if w.requires_grad:
+                gband = (xf.T @ gf).reshape(c, length, o, length)
+                w._accum(np.tensordot(gband, shift, axes=([1, 3], [1, 2]))
+                         .transpose(1, 0, 2))
+            if b.requires_grad:
+                b._accum(gf.sum(axis=0).reshape(o, length).sum(axis=1))
+            if x.requires_grad:
+                x._accum((gf @ band.T).reshape(x.shape))
+
+        return _node(out.reshape(nb, o, 1, length), (x, w, b), bw)
+
+    def _im2col(self, x):
+        w, b, k = self.w, self.b, self.kernel
+        nb, c, _, length = x.shape
         pad = k // 2
         o = self.c_out
         # im2col: cols[(b, l), (t, c)] = xp[b, l + t, c], zero-padded along l
@@ -110,48 +155,59 @@ class BatchNorm(Module):
             raise ValueError(
                 f"batchnorm expects axis 1 of size {self.n_features}, got {x.shape}")
         axes = (0,) + tuple(range(2, x.ndim))
-        shape = (1, self.n_features) + (1,) * (x.ndim - 2)
-        n = int(np.prod([x.shape[i] for i in axes]))
+        nb = x.shape[0]
+        s = int(np.prod(x.shape[2:]))
+        n = nb * s
+        rows = x.values.reshape(nb, self.n_features * s)
+
+        def per_row(v):
+            """A per-channel vector laid out along one row [C*S]."""
+            return np.repeat(v, s)
+
         training = self.training
         if training:
-            if x.shape[0] < 2:
+            if nb < 2:
                 raise ValueError("batchnorm in training mode needs batch size >= 2")
-            mean = x.values.sum(axis=axes, keepdims=True) * (1.0 / n)
-            xhat = x.values - mean
-            var = (xhat * xhat).sum(axis=axes, keepdims=True) * (1.0 / n)
+            # both statistics reduce on x's own shape, in the order the
+            # composed form uses, so the running statistics match it exactly
+            mean = x.values.sum(axis=axes) * (1.0 / n)
+            xhat = rows - per_row(mean)
+            var = (xhat * xhat).reshape(x.shape).sum(axis=axes) * (1.0 / n)
             m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mean.reshape(-1)
-            unbiased = var.reshape(-1) * n / max(n - 1, 1)
+            self.running_mean = (1 - m) * self.running_mean + m * mean
+            unbiased = var * n / max(n - 1, 1)
             self.running_var = (1 - m) * self.running_var + m * unbiased
             std = np.sqrt(var + self.eps)
         else:
-            xhat = x.values - self.running_mean.reshape(shape)
-            std = np.sqrt(self.running_var.reshape(shape) + self.eps)
-        xhat /= std
+            xhat = rows - per_row(self.running_mean)
+            std = np.sqrt(self.running_var + self.eps)
+        xhat /= per_row(std)
         gamma, beta = self.gamma, self.beta
-        scale = gamma.values.reshape(shape)
-        out = xhat * scale + beta.values.reshape(shape)
+        scale = gamma.values
+        out = xhat * per_row(scale)
+        out += per_row(beta.values)
 
         def bw(g):
-            gsum = g.sum(axis=axes, keepdims=True)
-            gdot = (g * xhat).sum(axis=axes, keepdims=True)
+            g = g.reshape(nb, self.n_features * s)
+            gsum = g.sum(axis=0).reshape(-1, s).sum(axis=1)
+            gdot = (g * xhat).sum(axis=0).reshape(-1, s).sum(axis=1)
             if beta.requires_grad:
-                beta._accum(gsum.reshape(-1))
+                beta._accum(gsum)
             if gamma.requires_grad:
-                gamma._accum(gdot.reshape(-1))
+                gamma._accum(gdot)
             if x.requires_grad:
-                gain = scale / std
+                gain = per_row(scale / std)
                 if training:
                     # the batch statistics depend on x (Ioffe & Szegedy 2015)
-                    gx = xhat * (gdot * (-1.0 / n))
+                    gx = xhat * per_row(gdot * (-1.0 / n))
                     gx += g
-                    gx -= gsum * (1.0 / n)
+                    gx -= per_row(gsum * (1.0 / n))
                     gx *= gain
                 else:
                     gx = g * gain
-                x._accum(gx)
+                x._accum(gx.reshape(x.shape))
 
-        return _node(out, (x, gamma, beta), bw)
+        return _node(out.reshape(x.shape), (x, gamma, beta), bw)
 
 
 class DenseBlock(Module):

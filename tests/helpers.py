@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference gradient oracle, the per-path
 channel synthesis loop that batched synthesis must reproduce bit for bit,
-and small conversions only tests use."""
+the hybrid beamformer feasibility check, and small conversions only tests
+use."""
 import numpy as np
 
 from airbeam.channel import dft_matrix
@@ -84,3 +85,13 @@ def nmse_db(h_hat, h):
     if err == 0:
         return -np.inf
     return 10.0 * np.log10(err / ref)
+
+
+def validate_hybrid(hb, pt, nc, tol=1e-9):
+    """Raise ValueError unless the HybridBeamformer `hb` has unit-modulus
+    analog entries and meets the per-subcarrier power budget pt / nc."""
+    if not np.allclose(np.abs(hb.f_rf), 1.0, atol=tol):
+        raise ValueError("analog beamformer entries must have unit modulus")
+    norms = np.linalg.norm(hb.effective(), axis=(1, 2))
+    if np.any(norms > np.sqrt(pt / nc) + tol):
+        raise ValueError("hybrid beamformer exceeds the per-subcarrier power budget")

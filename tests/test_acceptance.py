@@ -147,6 +147,12 @@ def _op_cases():
     conv3 = Conv1d(3, 2, np.random.default_rng(13), kernel=3)
     xk = t(2, 3, 1, 2)
     yield "conv1d-k3-len2", [xk, conv3.w, conv3.b], lambda: (conv3(xk) * conv3(xk)).sum()
+    # the cases above take the banded form (length <= 2 * kernel); this one
+    # takes im2col
+    conv_long = Conv1d(3, 2, np.random.default_rng(14), kernel=3)
+    xl = t(2, 3, 1, 8)
+    yield "conv1d-k3-len8", [xl, conv_long.w, conv_long.b], \
+        lambda: (conv_long(xl) * conv_long(xl)).sum()
 
 
 def _tiny_cfg(**kw):

@@ -22,7 +22,7 @@ from airbeam.airlink import (
 from airbeam.autodiff import Tensor, concat
 from airbeam.cplx import ComplexPair, as_pair
 
-from helpers import bits_to_surrogate, check_grads
+from helpers import bits_to_surrogate, check_grads, validate_hybrid
 
 RNG = np.random.default_rng(7)
 
@@ -473,9 +473,9 @@ def test_hybrid_beamformer_validate():
     f_rf = np.exp(1j * theta)
     f_bb = normalize_digital_np(f_rf, random_h(1, nc, k, k)[0], pt, nc)
     hb = HybridBeamformer(f_rf=f_rf, f_bb=f_bb)
-    hb.validate(pt, nc)
+    validate_hybrid(hb, pt, nc)
     assert hb.effective().shape == (nc, m, k)
     with pytest.raises(ValueError):
-        HybridBeamformer(f_rf=2.0 * f_rf, f_bb=f_bb).validate(pt, nc)
+        validate_hybrid(HybridBeamformer(f_rf=2.0 * f_rf, f_bb=f_bb), pt, nc)
     with pytest.raises(ValueError):
-        HybridBeamformer(f_rf=f_rf, f_bb=100.0 * f_bb).validate(pt, nc)
+        validate_hybrid(HybridBeamformer(f_rf=f_rf, f_bb=100.0 * f_bb), pt, nc)

@@ -18,7 +18,7 @@ from airbeam.baselines import (
 )
 from airbeam.channel import PathSet, SystemConfig, channel_matrix
 
-from helpers import array_response, nmse_db
+from helpers import array_response, nmse_db, validate_hybrid
 
 RNG = np.random.default_rng(23)
 
@@ -283,7 +283,7 @@ def test_pca_single_path_matches_steering_phases():
                     zenith=np.array([ze]), delay=np.array([2.0e-7]))
     h = channel_matrix(paths, cfg)[None]
     hb = pca_hb(h, cfg.pt, 0.1)
-    hb.validate(cfg.pt, cfg.nc)
+    validate_hybrid(hb, cfg.pt, cfg.nc)
     want = array_response(az, ze, cfg.ny, cfg.nz)
     np.testing.assert_allclose(hb.f_rf[:, 0], np.exp(1j * np.angle(want)),
                                atol=1e-9)
@@ -302,7 +302,7 @@ def test_pca_zero_forces_effective_interference():
     cfg = cfg16(k_users=2)
     h, _ = random_channel(cfg, 4, np.random.default_rng(13))
     hb = pca_hb(h, cfg.pt, 0.1)
-    hb.validate(cfg.pt, cfg.nc)
+    validate_hybrid(hb, cfg.pt, cfg.nc)
     eff = hb.effective()
     for n in range(cfg.nc):
         gains = np.abs(h[:, :, n].conj() @ eff[n]) ** 2
@@ -318,7 +318,7 @@ def test_ss_hb_single_path_selects_true_atom():
     paths = grid_paths(d, [col], [2], [1.0 + 0.2j])
     h = channel_matrix(paths, cfg)[None]
     hb = ss_hb(h, d, cfg.pt, 0.1)
-    hb.validate(cfg.pt, cfg.nc)
+    validate_hybrid(hb, cfg.pt, cfg.nc)
     np.testing.assert_allclose(hb.f_rf[:, 0], d.steering[:, col], atol=1e-12)
 
 

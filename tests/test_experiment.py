@@ -314,6 +314,19 @@ def test_eval_only_missing_checkpoint_raises(tmp_path):
         run_experiment(parse_config(path), eval_only=True)
 
 
+@pytest.mark.parametrize("field,changed", [
+    ("pt", "pt = 2.0"),
+    ("channel_kind", "pt = 4.0\nchannel_kind = cluster"),
+])
+def test_eval_only_rejects_checkpoint_of_another_system(tmp_path, field, changed):
+    path = write_cfg(tmp_path, "proposed_tdd",
+                     f"n_eval = 8\nout = {tmp_path}/r.csv\n")
+    run_experiment(parse_config(path))
+    path.write_text(path.read_text().replace("pt = 4.0", changed))
+    with pytest.raises(ConfigError, match=f": {field} is "):
+        run_experiment(parse_config(path), eval_only=True)
+
+
 def test_sweep_snr_monotone_for_zf(tmp_path):
     path = write_cfg(tmp_path, "zf_bound",
                      "sweep_axis = snr_db\nsweep_values = -10, 0, 10\n"

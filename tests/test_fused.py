@@ -3,7 +3,8 @@
 Each fused op is one graph node with a hand-written backward pass; the
 composed forms in composed.py build the same function from smaller pieces.
 Outputs and every gradient must agree to 1e-12 relative at the desk
-system's shapes (batch 1024, Nc = 8 subcarriers).
+system's shapes (batch 1024, Nc = 8 subcarriers), and Conv1d on both sides
+of the length at which it switches from the banded GEMM to im2col.
 """
 import numpy as np
 import pytest
@@ -76,6 +77,11 @@ def test_mish_is_one_node():
     (8, 16, 5, 2),
     (8, 16, 3, 2),
     (8, 16, 7, 2),
+    (8, 16, 5, 10),     # longest banded length for kernel 5
+    (8, 16, 5, 11),     # shortest im2col length for kernel 5
+    (8, 16, 5, 16),
+    (8, 16, 5, 32),     # paper-scale subcarrier count
+    (8, 16, 3, 7),
 ])
 def test_conv1d_matches_composed(c_in, c_out, kernel, length):
     rng = np.random.default_rng(kernel * 10 + length)
@@ -108,7 +114,8 @@ def _twin_bns(n, rng):
     return out
 
 
-@pytest.mark.parametrize("shape", [(1024, 32, 1, 8), (1024, 64)])
+@pytest.mark.parametrize("shape", [(1024, 32, 1, 8), (1024, 64), (256, 32, 1, 8),
+                                   (64, 64, 1, 32)])
 @pytest.mark.parametrize("training", [True, False])
 def test_batchnorm_matches_composed(shape, training):
     rng = np.random.default_rng(shape[1])
