@@ -45,12 +45,14 @@ class SystemConfig:
             raise ValueError(f"need at least one user, got k_users={self.k_users}")
         if self.q_pilots < 1:
             raise ValueError(f"need at least one pilot symbol, got q_pilots={self.q_pilots}")
-        if self.pt <= 0:
-            raise ValueError(f"transmit power must be positive, got pt={self.pt}")
+        if not 0 < self.pt < np.inf:
+            raise ValueError(f"transmit power must be positive and finite, got pt={self.pt}")
+        if not np.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if not (1 <= self.lp_min <= self.lp_max):
             raise ValueError(f"bad path-count range [{self.lp_min}, {self.lp_max}]")
-        if self.ts_s <= 0:
-            raise ValueError(f"sampling interval must be positive, got ts_s={self.ts_s}")
+        if not 0 < self.ts_s < np.inf:
+            raise ValueError(f"sampling interval must be positive and finite, got ts_s={self.ts_s}")
         if self.channel_kind not in ("multipath", "cluster"):
             raise ValueError(f"unknown channel_kind '{self.channel_kind}'")
         if self.feedback_bits < 1:

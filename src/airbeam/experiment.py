@@ -43,6 +43,7 @@ from .training import (
     finetune_quantized,
     gen_dataset,
     gen_splits,
+    require_finite,
     stream_rng,
     train,
 )
@@ -161,6 +162,15 @@ def _dataclass_kwargs(parser, section, cls):
 
 
 def parse_config(path):
+    """Read an experiment INI file. Every malformed input raises
+    ConfigError; configparser's own errors keep their line number."""
+    try:
+        return _parse_config(path)
+    except configparser.Error as err:
+        raise ConfigError(f"malformed config file: {err}") from None
+
+
+def _parse_config(path):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not parser.read(path):
         raise ConfigError(f"cannot read config file '{path}'")
@@ -271,6 +281,7 @@ def classical_rates(scheme, cfg, h_pool, seed, grid_az, grid_ze):
     _, k, m, nc = h_pool.shape
     if scheme not in CLASSICAL_SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'")
+    require_finite(h_pool)
     if scheme == "zf_bound":
         effs = [zf_fully_digital(h, cfg.pt, sigma2) for h in h_pool]
     elif scheme == "perfect_pca":

@@ -13,19 +13,26 @@ snapshot plus caller metadata under "meta".
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
 MAGIC = b"ABFM"
 FORMAT_VERSION = 1
+MIN_ENTRY_BYTES = 16    # empty name, ndim 0, one value
+
+
+def _bytes_left(f):
+    return os.fstat(f.fileno()).st_size - f.tell()
 
 
 def _read_exact(f, n):
-    buf = f.read(n)
-    if len(buf) != n:
+    # checked before reading, so a corrupted length never becomes a huge read
+    if n > _bytes_left(f):
         raise ValueError("truncated checkpoint file")
-    return buf
+    return f.read(n)
 
 
 def _read_u32(f):
@@ -62,7 +69,9 @@ def load_checkpoint(path, model=None):
 
     With `model` given, the state is restored into it through
     `Module.load_state_dict`, which checks every name and shape first and
-    names the first tensor that disagrees.
+    names the first tensor that disagrees. Every length, count and dims word
+    is checked against the bytes left in the file before it is read, so
+    corrupted structure raises ValueError.
     """
     with open(path, "rb") as f:
         if _read_exact(f, 4) != MAGIC:
@@ -73,13 +82,18 @@ def load_checkpoint(path, model=None):
                 f"checkpoint format version {version}, this reader supports "
                 f"{FORMAT_VERSION}")
         header = json.loads(_read_exact(f, _read_u32(f)).decode("utf-8"))
+        if not (isinstance(header, dict) and "system" in header and "meta" in header):
+            raise ValueError(f"{path} has a header without 'system' and 'meta'")
+        entries = _read_u32(f)
+        if entries * MIN_ENTRY_BYTES > _bytes_left(f):
+            raise ValueError(f"truncated checkpoint file: {entries} entries "
+                             f"cannot fit in {_bytes_left(f)} bytes")
         state = {}
-        for _ in range(_read_u32(f)):
+        for _ in range(entries):
             name = _read_exact(f, _read_u32(f)).decode("utf-8")
             ndim = _read_u32(f)
             dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim))
-            count = int(np.prod(dims)) if ndim else 1
-            raw = _read_exact(f, 8 * count)
+            raw = _read_exact(f, 8 * math.prod(dims))
             state[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
         if f.read(1):
             raise ValueError(f"{path} has trailing bytes after the last entry")

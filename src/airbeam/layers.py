@@ -15,7 +15,10 @@ length L and the kernel width k:
   pays only while that ratio is small, and the backward pass is two GEMMs
   plus a fold of each tap's diagonal back into the weight gradient.
 - L > 2k (paper scale, 32 subcarriers): one im2col GEMM forward and two
-  GEMMs plus a col2im scatter-add backward (Chellapilla et al. 2006).
+  GEMMs plus a col2im scatter-add backward (Chellapilla et al. 2006). The
+  node keeps only its input for backward: the columns, k times the input's
+  size, are rebuilt from it for the weight gradient (Chen et al. 2016)
+  instead of being held from forward to backward.
 
 BatchNorm keeps the closed-form backward of Ioffe & Szegedy (2015) and does
 its per-channel broadcasts on rows [B, C*S], S the product of the trailing
@@ -106,20 +109,24 @@ class Conv1d(Module):
         nb, c, _, length = x.shape
         pad = k // 2
         o = self.c_out
-        # im2col: cols[(b, l), (t, c)] = xp[b, l + t, c], zero-padded along l
-        xp = np.zeros((nb, length + 2 * pad, c))
-        xp[:, pad:pad + length, :] = x.values[:, :, 0, :].transpose(0, 2, 1)
-        cols = sliding_window_view(xp, k, axis=1).transpose(0, 1, 3, 2).reshape(
-            nb * length, k * c)
+
+        def columns():
+            """cols[(b, l), (t, c)] = xp[b, l + t, c], xp zero-padded along l"""
+            xp = np.zeros((nb, length + 2 * pad, c))
+            xp[:, pad:pad + length, :] = x.values[:, :, 0, :].transpose(0, 2, 1)
+            return sliding_window_view(xp, k, axis=1).transpose(0, 1, 3, 2).reshape(
+                nb * length, k * c)
+
         wm = w.values.transpose(0, 2, 1).reshape(o, k * c)
-        out = cols @ wm.T
+        out = columns() @ wm.T
         out += b.values
         out = np.ascontiguousarray(out.reshape(nb, length, o).transpose(0, 2, 1))
 
         def bw(g):
             gm = g[:, :, 0, :].transpose(0, 2, 1).reshape(nb * length, o)
             if w.requires_grad:
-                w._accum((gm.T @ cols).reshape(o, k, c).transpose(0, 2, 1))
+                # rebuilt rather than kept from forward: k times x's size
+                w._accum((gm.T @ columns()).reshape(o, k, c).transpose(0, 2, 1))
             if b.requires_grad:
                 b._accum(gm.sum(axis=0))
             if x.requires_grad:

@@ -84,8 +84,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("n_train", "n_val", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.lr_decay_factor < 1:
             raise ValueError(f"lr_decay_factor must be in (0,1), got {self.lr_decay_factor}")
         if self.patience < 1:
@@ -144,8 +149,17 @@ class TrainHistory:
                 fh.write(",".join(str(x) for x in row) + "\n")
 
 
+def require_finite(h_pool):
+    """Raise ValueError naming the first sample of a channel pool [N, ...]
+    with a NaN or infinite entry, so that it never becomes a rate."""
+    bad = ~np.isfinite(h_pool).reshape(len(h_pool), -1).all(axis=1)
+    if bad.any():
+        raise ValueError(f"channel pool sample {int(np.argmax(bad))} has a non-finite entry")
+
+
 def evaluate_rate(pipeline, h_pool, sigma2, seed, batch_size=256):
     """Mean sum rate over a pool, eval mode, fixed per-call noise draws."""
+    require_finite(h_pool)
     pipeline.set_training(False)
     rng = stream_rng(seed, STREAM_EVAL_NOISE)
     total = 0.0

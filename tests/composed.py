@@ -6,6 +6,9 @@ long way: Mish and BatchNorm from elementary Tensor ops, whose gradients
 come from the engine's per-op rules, and Conv1d as an einsum over stacked
 shifted windows with its own direct backward. They take the package's layer
 objects so both sides share parameters and running statistics.
+
+`backward_retained` is the engine's reverse walk without the release:
+every node keeps its grad, closure and parents afterwards.
 """
 import numpy as np
 
@@ -65,3 +68,25 @@ def batchnorm(layer, x):
         xhat = (x - layer.running_mean.reshape(shape)) / np.sqrt(
             layer.running_var.reshape(shape) + layer.eps)
     return xhat * layer.gamma.reshape(shape) + layer.beta.reshape(shape)
+
+
+def backward_retained(root):
+    """Tensor.backward's walk, in the same topological order, that leaves
+    the graph intact (the oracle for the walk that consumes it)."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen and p.requires_grad:
+                stack.append((p, False))
+    root._accum(np.ones_like(root.values))
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)

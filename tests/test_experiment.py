@@ -157,6 +157,43 @@ def test_parse_field_level_errors(tmp_path):
         parse_config(tmp_path / "missing.cfg")
 
 
+INI_PROBES = {
+    "no section header": "ny = 2\n[experiment]\nschemes = zf_bound\n",
+    "duplicate section": "[system]\nny = 2\n[system]\nnz = 2\n"
+                         "[experiment]\nschemes = zf_bound\n",
+    "duplicate key": "[system]\nny = 2\nny = 3\n[experiment]\nschemes = zf_bound\n",
+    "pt nan": "[system]\npt = nan\n[experiment]\nschemes = zf_bound\n",
+    "snr_db inf": "[system]\nsnr_db = inf\n[experiment]\nschemes = zf_bound\n",
+    "lr nan": "[train]\nlr = nan\n[experiment]\nschemes = zf_bound\n",
+    "epochs -3": "[train]\nepochs = -3\n[experiment]\nschemes = zf_bound\n",
+    "n_train 0": "[train]\nn_train = 0\n[experiment]\nschemes = zf_bound\n",
+    "ts_s inf": "[system]\nts_s = inf\n[experiment]\nschemes = zf_bound\n",
+    "n_val 0": "[train]\nn_val = 0\n[experiment]\nschemes = zf_bound\n",
+    "n_test 0": "[train]\nn_test = 0\n[experiment]\nschemes = zf_bound\n",
+    "epochs 0": "[train]\nepochs = 0\n[experiment]\nschemes = zf_bound\n",
+}
+
+
+@pytest.mark.parametrize("probe", sorted(INI_PROBES))
+def test_malformed_ini_raises_config_error(tmp_path, probe):
+    path = tmp_path / "probe.cfg"
+    path.write_text(INI_PROBES[probe])
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    if probe.startswith(("no section", "duplicate")):
+        assert "line" in str(err.value)
+    else:
+        assert probe.split()[0] in str(err.value)
+
+
+def test_cli_exits_2_on_file_without_section_header(tmp_path):
+    path = tmp_path / "probe.cfg"
+    path.write_text(INI_PROBES["no section header"])
+    done = cli(["run", "--config", str(path)])
+    assert done.returncode == 2
+    assert "config error" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_parse_missing_schemes(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("[system]\nny = 2\n")
@@ -204,6 +241,17 @@ def test_classical_ordering_on_shared_pool():
     assert rate["zf_bound"] > rate["perfect_pca"] > rate["swomp_pca"]
     assert rate["swomp_pca"] > rate["limited_feedback_pca"]
     assert all(r > 0 for r in rate.values())
+
+
+def test_non_finite_pool_sample_is_named():
+    cfg = SystemConfig(ny=2, nz=2, nc=4, k_users=2, pt=4.0, feedback_bits=12)
+    pool = gen_dataset(cfg, 8, 3, STREAM_TEST).h.copy()
+    pool[5, 1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="sample 5 "):
+        classical_rates("zf_bound", cfg, pool, 0, 4, 4)
+    pipe = build_pipeline("tdd", cfg, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="sample 5 "):
+        evaluate_rate(pipe, pool, sigma_from_snr(cfg), 0)
 
 
 def test_classical_rates_deterministic():

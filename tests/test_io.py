@@ -1,4 +1,7 @@
 """Checkpoint container round trips and failure modes."""
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -149,3 +152,52 @@ def test_missing_and_extra_tensors_are_named(tmp_path):
     _, fdd = make_pipeline("fdd", seed=0)
     with pytest.raises(ValueError, match="tensor '"):
         load_checkpoint(path, fdd)
+
+
+def structure_words(blob):
+    """Byte offsets of every u32 word that gives a length, count or shape:
+    the version, header length, entry count, and each entry's name length,
+    ndim and dims."""
+    hlen = struct.unpack_from("<I", blob, 8)[0]
+    words, pos = [4, 8], 12 + hlen
+    words.append(pos)
+    count = struct.unpack_from("<I", blob, pos)[0]
+    pos += 4
+    for _ in range(count):
+        words.append(pos)
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+        words.append(pos)
+        ndim = struct.unpack_from("<I", blob, pos)[0]
+        dims = struct.unpack_from(f"<{ndim}I", blob, pos + 4)
+        words.extend(pos + 4 + 4 * i for i in range(ndim))
+        pos += 4 + 4 * ndim + 8 * int(np.prod(dims))
+    assert pos == len(blob)
+    return words
+
+
+@pytest.mark.parametrize("value", [0xFFFFFFFF, 0x7FFFFFFF])
+def test_corrupted_structure_words_raise_value_error(tmp_path, value):
+    cfg, pipe = make_pipeline("fdd", seed=0)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, pipe, cfg)
+    blob = path.read_bytes()
+    words = structure_words(blob)
+    assert len(words) > 50
+    bad = tmp_path / "bad.bin"
+    for pos in words:
+        bad.write_bytes(blob[:pos] + struct.pack("<I", value) + blob[pos + 4:])
+        with pytest.raises(ValueError):
+            load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("header", [[1, 2], {"system": {}}, {"meta": {}}, "x"])
+def test_header_without_system_and_meta_is_rejected(tmp_path, header):
+    cfg, pipe = make_pipeline("tdd", seed=0)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, pipe, cfg)
+    blob = path.read_bytes()
+    rest = blob[12 + struct.unpack_from("<I", blob, 8)[0]:]
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + rest)
+    with pytest.raises(ValueError, match="header"):
+        load_checkpoint(path)
