@@ -3,9 +3,13 @@ power normalization, quantization, and the downlink sum rate.
 
 Everything here runs batched with a leading sample axis and accepts plain
 numpy channels; gradient flows into whatever Tensors participate (pilot
-phases, network outputs). The sum rate has one formula,
-`sum_rate_effective`, and the power cap one rule, `autodiff.cap_scale`;
-learned and classical schemes are scored and capped by the same code.
+phases, network outputs). The sum rate has one formula, `_rate`, and the
+power cap one rule, `_power_cap`; learned and classical schemes are scored
+and capped by the same code. The cap works in Gram form through
+F_RF^H F_RF and the rate through the cross gains H F_RF, so neither forms
+the effective beamformer F_RF F_BB[n]. For training, `normalize_digital`
+and `sum_rate` are each one complex128 graph node with a hand-written
+backward pass (cplx.fused).
 """
 from __future__ import annotations
 
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import astensor, cap_scale, log2, no_grad, straight_through
-from .cplx import ComplexPair, as_pair, cexp
+from .autodiff import astensor, straight_through
+from .cplx import as_pair, cexp, fused
 from .channel import awgn
 
 
@@ -78,33 +82,53 @@ def assemble_analog(theta):
 def normalize_digital(f_rf, fbb_raw, pt, nc):
     """Scale each per-subcarrier digital beamformer so the hybrid product
     stays inside the power budget: ||F_RF F_BB[n]||_F <= sqrt(Pt/Nc), with
-    beamformers already inside the budget left untouched."""
-    eff = effective_beamformer(f_rf, fbb_raw)                 # [.., Nc, M, K]
-    sumsq = eff.abs2().sum(axis=(-2, -1), keepdims=True)      # [.., Nc, 1, 1]
-    return fbb_raw * cap_scale(sumsq, np.sqrt(pt / nc))
+    beamformers already inside the budget left untouched.
+
+    f_rf: ComplexPair [M, K] or [B, M, K]; fbb_raw: [Nc, K, K] or
+    [B, Nc, K, K]. One graph node (see _power_cap)."""
+    f_rf, fbb_raw = as_pair(f_rf), as_pair(fbb_raw)
+    f, x = _batch(f_rf, 2), _batch(fbb_raw, 3)
+    cap = np.sqrt(pt / nc)
+    scale, rx = _power_cap(f, x, cap)
+
+    def backward(g):
+        g = g.reshape(x.shape)
+        # A capped x_n has scale = cap / sqrt(sumsq), so d scale / d sumsq
+        # = -scale^3 / (2 cap^2). sumsq = sum_j x_j^H R x_j with R = F^H F:
+        # d/dx = 2 R x, and d/dF = F (dR + dR^H) with dR = sum_n g_n x_n x_n^H
+        slope = np.where(scale < 1.0, -0.5 * scale ** 3 / cap ** 2, 0.0)
+        g_sumsq = slope * np.einsum("...ij,...ij->...", g.conj(), x).real
+        g_x = g * scale[..., None, None] + 2.0 * g_sumsq[..., None, None] * rx
+        d_gram = _mm(x * g_sumsq[..., None, None], _herm(x)).sum(axis=1)
+        return 2.0 * (f @ d_gram), g_x
+
+    out = x * scale[..., None, None]
+    return fused(out.reshape(fbb_raw.shape), (f_rf, fbb_raw), backward)
 
 
 def normalize_digital_np(f_rf, f_bb, pt, nc):
     """normalize_digital for one classical beamformer held as plain complex
     arrays, f_rf [M, K] and f_bb [Nc, K, K]; same cap rule, no graph."""
-    eff = f_rf[None] @ f_bb                                    # [Nc, M, K]
-    sumsq = (eff.conj() * eff).real.sum(axis=(1, 2))
-    scale = cap_scale(sumsq, np.sqrt(pt / nc)).values
-    return f_bb * scale[:, None, None]
+    scale, _ = _power_cap(f_rf[None], f_bb[None], np.sqrt(pt / nc))
+    return f_bb * scale[0, :, None, None]
+
+
+def _power_cap(f, x, cap):
+    """The one power-cap rule, for f [B, M, K] and x [B, Nc, K, K].
+
+    In Gram form, ||F x_n||_F^2 = sum_j x_nj^H R x_nj with R = F^H F [B, K, K],
+    so no [B, Nc, M, K] product is formed. Each x_n is to be scaled by
+    min(cap / ||F x_n||_F, 1); a zero beamformer keeps scale 1. Returns the
+    scale [B, Nc] and R x."""
+    rx = _mm((_herm(f) @ f)[:, None], x)
+    norm = np.sqrt(np.maximum(np.einsum("...ij,...ij->...", x.conj(), rx).real, 0.0))
+    over = norm > cap
+    scale = np.ones_like(norm)
+    scale[over] = cap / norm[over]
+    return scale, rx
 
 
 # -- sum rate --------------------------------------------------------------
-
-
-def effective_beamformer(f_rf, f_bb):
-    """Per-subcarrier product F_RF F_BB[n]: [.., Nc, M, K] ComplexPair."""
-    single = f_rf.re.ndim == 2
-    if single:
-        f_rf = f_rf.reshape(1, *f_rf.shape)
-        f_bb = f_bb.reshape(1, *f_bb.shape)
-    nb, m, k = f_rf.shape
-    eff = f_rf.reshape(nb, 1, m, k) @ f_bb
-    return eff[0] if single else eff
 
 
 def sum_rate(h, f_rf, f_bb, sigma2):
@@ -113,44 +137,103 @@ def sum_rate(h, f_rf, f_bb, sigma2):
     h: ndarray [K, M, Nc] or [B, K, M, Nc] (constant w.r.t. the graph).
     f_rf: ComplexPair [M, K] or [B, M, K]; f_bb: [Nc, K, K] or [B, Nc, K, K].
     Returns a Tensor, scalar or [B]. Differentiable in both beamformers.
+
+    One graph node that never forms F_RF F_BB[n]: the users' conjugated
+    channels H [B, Nc*K, M] meet F_RF in one GEMM, G = H F_RF, and the
+    cross gains are G_n F_BB[n], K x K per subcarrier. In backward the GEMM
+    H^H dG sums over the subcarriers.
     """
-    f_rf = f_rf if isinstance(f_rf, ComplexPair) else as_pair(f_rf)
-    f_bb = f_bb if isinstance(f_bb, ComplexPair) else as_pair(f_bb)
-    return sum_rate_effective(h, effective_beamformer(f_rf, f_bb), sigma2)
+    f_rf, f_bb = as_pair(f_rf), as_pair(f_bb)
+    users, single = _users(h)
+    nb, nc, k, m = users.shape
+    users = users.reshape(nb, nc * k, m)
+    f, x = _batch(f_rf, 2), _batch(f_bb, 3)
+    cross = (users @ f).reshape(nb, nc, k, k)
+    rate, rate_vjp = _rate(_mm(cross, x), sigma2)
+
+    def backward(g):
+        g_a = rate_vjp(g.reshape(-1))
+        g_cross = _mm(g_a, _herm(x)).reshape(nb, nc * k, k)
+        return _herm(users) @ g_cross, _mm(_herm(cross), g_a)
+
+    return fused(rate[0] if single else rate, (f_rf, f_bb), backward)
 
 
 def sum_rate_effective(h, eff, sigma2):
-    """Sum rate given the effective per-subcarrier beamformer [.., Nc, M, K].
-
-    The one SINR/log2 rate formula: every learned and classical scheme is
-    scored here."""
-    if sigma2 <= 0:
-        raise ValueError(f"noise variance must be positive, got {sigma2}")
-    h = np.asarray(h)
-    single = h.ndim == 3
-    if single:
-        h = h[None]
-    eff = eff if isinstance(eff, ComplexPair) else as_pair(eff)
-    if eff.re.ndim == 3:
-        eff = eff.reshape(1, *eff.shape)
-    nb, k, m, nc = h.shape
-    # rows of hh are the users' conjugated channels per subcarrier
-    hh = as_pair(np.conj(h).transpose(0, 3, 1, 2))            # [B, Nc, K, M]
-    gains = (hh @ eff).abs2()                                  # [B, Nc, K, K']
-    eye = np.eye(k).reshape(1, 1, k, k)
-    wanted = (gains * eye).sum(axis=-1)                        # [B, Nc, K]
-    interference = gains.sum(axis=-1) - wanted
-    sinr = wanted / (interference + sigma2)
-    rate = log2(1.0 + sinr).sum(axis=(1, 2)) * (1.0 / nc)
+    """Sum rate given the effective per-subcarrier beamformer, a complex
+    ndarray [Nc, M, K] or [B, Nc, M, K]; no graph. Returns an ndarray,
+    0-d or [B]."""
+    users, single = _users(h)
+    eff = np.asarray(eff)
+    rate, _ = _rate(users @ eff.reshape(-1, *eff.shape[-3:]), sigma2)
     return rate[0] if single else rate
 
 
 def sum_rate_np(h, eff, sigma2):
-    """sum_rate_effective without a graph, for complex ndarray beamformers:
-    a float for one realization, an ndarray [B] for a batch."""
-    with no_grad():
-        rate = sum_rate_effective(h, eff, sigma2).values
+    """sum_rate_effective for scoring: a float for one realization, an
+    ndarray [B] for a batch."""
+    rate = sum_rate_effective(h, eff, sigma2)
     return float(rate) if rate.ndim == 0 else rate
+
+
+def _rate(a, sigma2):
+    """The one SINR/log2 rate formula, on the cross gains a [B, Nc, K, K]:
+    a[b, n, k, j] is what user k hears of stream j on subcarrier n.
+
+    Returns the rate per sample [B], the sum over users and the mean over
+    subcarriers of log2(1 + SINR), and its vector-Jacobian product: the
+    cotangent of the rates [B] to the cotangent of a, dL/d Re a + j dL/d Im a.
+    """
+    if sigma2 <= 0:
+        raise ValueError(f"noise variance must be positive, got {sigma2}")
+    nc, k = a.shape[1], a.shape[-1]
+    gains = a.real * a.real + a.imag * a.imag
+    wanted = np.einsum("...kk->...k", gains)
+    noise = gains.sum(axis=-1) - wanted + sigma2               # interference + sigma2
+    sinr = wanted / noise
+    rate = (np.log(1.0 + sinr) * (1.0 / np.log(2.0))).sum(axis=(1, 2)) * (1.0 / nc)
+
+    def vjp(g):
+        # d rate / d sinr = u / (1 + sinr). A gain to another stream enters
+        # the interference only; the wanted gain enters both, which sums to
+        # u / noise on the diagonal.
+        u = g[:, None, None] * (1.0 / (np.log(2.0) * nc))
+        off = -u * sinr / ((1.0 + sinr) * noise)
+        g_gains = off[..., None] + np.eye(k) * (u / noise)[..., None]
+        return 2.0 * a * g_gains
+
+    return rate, vjp
+
+
+def _users(h):
+    """Conjugated channels [B, Nc, K, M] of h [K, M, Nc] or [B, K, M, Nc]:
+    row k of block n is user k's h_k[n]^H. Also whether h was one
+    realization."""
+    h = np.asarray(h)
+    single = h.ndim == 3
+    h = h.reshape(-1, *h.shape[-3:])
+    return np.conjugate(h.transpose(0, 3, 1, 2), order="C"), single
+
+
+def _batch(pair, ndim):
+    """A ComplexPair of `ndim` trailing axes as complex128 [B, ...]."""
+    z = pair.numpy()
+    return z.reshape(-1, *z.shape[-ndim:])
+
+
+def _mm(a, b):
+    """a @ b for stacks of K x K matrices, as K broadcast products: numpy's
+    matmul makes one BLAS call per matrix, which costs more than the
+    arithmetic at these sizes."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
+def _herm(z):
+    """Hermitian transpose over the trailing two axes."""
+    return np.conjugate(z.swapaxes(-1, -2))
 
 
 # -- quantization ----------------------------------------------------------

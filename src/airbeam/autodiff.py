@@ -166,9 +166,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-astensor(other))
 
-    def __rsub__(self, other):
-        return astensor(other) + (-self)
-
     def __mul__(self, other):
         b = astensor(other)
         a = self
@@ -182,21 +179,6 @@ class Tensor:
         return _node(a.values * b.values, (a, b), bw)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = astensor(other)
-        a = self
-
-        def bw(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g / b.values, a.values.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(-g * a.values / (b.values * b.values), b.values.shape))
-
-        return _node(a.values / b.values, (a, b), bw)
-
-    def __rtruediv__(self, other):
-        return astensor(other) / self
 
     # -- linear algebra / shaping -----------------------------------------
 
@@ -276,41 +258,6 @@ class Tensor:
 
     # -- transcendental ----------------------------------------------------
 
-    def exp(self):
-        a = self
-        out = np.exp(a.values)
-
-        def bw(g):
-            a._accum(g * out)
-
-        return _node(out, (a,), bw)
-
-    def log(self):
-        a = self
-
-        def bw(g):
-            a._accum(g / a.values)
-
-        return _node(np.log(a.values), (a,), bw)
-
-    def sqrt(self):
-        a = self
-        out = np.sqrt(a.values)
-
-        def bw(g):
-            a._accum(g * 0.5 / out)
-
-        return _node(out, (a,), bw)
-
-    def tanh(self):
-        a = self
-        out = np.tanh(a.values)
-
-        def bw(g):
-            a._accum(g * (1.0 - out * out))
-
-        return _node(out, (a,), bw)
-
     def sigmoid(self):
         a = self
         out = _sigmoid(a.values)
@@ -319,15 +266,6 @@ class Tensor:
             a._accum(g * out * (1.0 - out))
 
         return _node(out, (a,), bw)
-
-    def softplus(self):
-        a = self
-        v = a.values
-
-        def bw(g):
-            a._accum(g * _sigmoid(v))
-
-        return _node(_softplus(v), (a,), bw)
 
     def sin(self):
         a = self
@@ -389,10 +327,6 @@ def concat(tensors, axis=0):
     return _node(np.concatenate([t.values for t in tensors], axis=axis), tuple(tensors), bw)
 
 
-def log2(x):
-    return astensor(x).log() * (1.0 / np.log(2.0))
-
-
 def mish(x):
     """x * tanh(softplus(x)); smooth, non-monotone below zero.
 
@@ -420,24 +354,6 @@ def straight_through(x, quantizer):
         a._accum(g)
 
     return _node(q, (a,), bw)
-
-
-def cap_scale(sumsq, cap):
-    """Multiplier that rescales a vector of squared norm `sumsq` so the norm
-    never exceeds `cap`: min(cap/||.||, 1), with sumsq == 0 mapping to 1."""
-    a = astensor(sumsq)
-    v = a.values
-    norm = np.sqrt(v)
-    over = norm > cap
-    out = np.ones_like(v)
-    out[over] = cap / norm[over]
-
-    def bw(g):
-        d = np.zeros_like(v)
-        d[over] = -0.5 * cap / (norm[over] ** 3)
-        a._accum(g * d)
-
-    return _node(out, (a,), bw)
 
 
 # -- modules ---------------------------------------------------------------

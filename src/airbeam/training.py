@@ -149,12 +149,12 @@ class TrainHistory:
                 fh.write(",".join(str(x) for x in row) + "\n")
 
 
-def require_finite(h_pool):
+def require_finite(h_pool, what="channel pool"):
     """Raise ValueError naming the first sample of a channel pool [N, ...]
     with a NaN or infinite entry, so that it never becomes a rate."""
     bad = ~np.isfinite(h_pool).reshape(len(h_pool), -1).all(axis=1)
     if bad.any():
-        raise ValueError(f"channel pool sample {int(np.argmax(bad))} has a non-finite entry")
+        raise ValueError(f"{what} sample {int(np.argmax(bad))} has a non-finite entry")
 
 
 def evaluate_rate(pipeline, h_pool, sigma2, seed, batch_size=256):
@@ -175,7 +175,10 @@ def evaluate_rate(pipeline, h_pool, sigma2, seed, batch_size=256):
 def train(pipeline, splits: DataSplits, tc: TrainConfig, sigma2=None, log=None):
     """Minimize the negative mean sum rate with Adam, lr steps, and early
     stopping on the validation rate. The pipeline ends up holding the best
-    validation parameters; returns the TrainHistory."""
+    validation parameters; returns the TrainHistory. A non-finite sample in
+    the training or validation split raises ValueError before any step."""
+    require_finite(splits.train.h, "training split")
+    require_finite(splits.val.h, "validation split")
     sigma2 = sigma_from_snr(pipeline.cfg) if sigma2 is None else sigma2
     opt = Adam(pipeline.named_parameters(), lr=tc.lr,
                beta1=tc.beta1, beta2=tc.beta2, eps=tc.adam_eps)

@@ -18,7 +18,7 @@ from airbeam.airlink import (
     sum_rate_np,
     uplink_pilot_combiner,
 )
-from airbeam.autodiff import Tensor, cap_scale, concat, log2, mish, straight_through
+from airbeam.autodiff import Tensor, concat, mish, straight_through
 from airbeam.baselines import (
     AngleDelayDictionary,
     pca_hb,
@@ -50,6 +50,7 @@ from airbeam.training import (
     train,
 )
 
+import composed
 from helpers import check_grads, nmse_db
 
 
@@ -81,9 +82,9 @@ def _op_cases():
     a, b = t(3, 4), t(4)
     yield "mul-broadcast", [a, b], lambda: (a * b).sum()
     a, b = t(3, 4), t(3, 4, lo=2.0, hi=3.0)
-    yield "div", [a, b], lambda: (a / b).sum()
+    yield "div", [a, b], lambda: composed.div(a, b).sum()
     b = t(3, 4, lo=2.0, hi=3.0)
-    yield "rdiv", [b], lambda: (2.0 / b).sum()
+    yield "rdiv", [b], lambda: composed.div(2.0, b).sum()
     a, b = t(3, 4), t(4, 2)
     yield "matmul", [a, b], lambda: (a @ b).sum()
     a, b = t(2, 3, 4), t(2, 4, 2)
@@ -101,30 +102,30 @@ def _op_cases():
     a = t(3, 4)
     yield "mean", [a], lambda: (a.mean(axis=1) * 2.0).sum()
     a = t(3, 4)
-    yield "exp", [a], lambda: a.exp().sum()
+    yield "exp", [a], lambda: composed.exp(a).sum()
     a = t(3, 4, lo=0.5, hi=2.0)
-    yield "log", [a], lambda: a.log().sum()
+    yield "log", [a], lambda: composed.log(a).sum()
     a = t(3, 4, lo=0.5, hi=2.0)
-    yield "sqrt", [a], lambda: a.sqrt().sum()
+    yield "sqrt", [a], lambda: composed.sqrt(a).sum()
     a = t(3, 4)
-    yield "tanh", [a], lambda: a.tanh().sum()
+    yield "tanh", [a], lambda: composed.tanh(a).sum()
     a = t(3, 4)
     yield "sigmoid", [a], lambda: a.sigmoid().sum()
     a = t(3, 4, lo=-3.0, hi=3.0)
-    yield "softplus", [a], lambda: a.softplus().sum()
+    yield "softplus", [a], lambda: composed.softplus(a).sum()
     a = t(3, 4)
     yield "sin-cos", [a], lambda: (a.sin() * a.cos()).sum()
     a, b = t(2, 3), t(2, 5)
     yield "concat", [a, b], lambda: (concat([a, b], axis=1)
                                      * concat([a, b], axis=1)).sum()
     a = t(3, 4, lo=0.5, hi=2.0)
-    yield "log2", [a], lambda: log2(a).sum()
+    yield "log2", [a], lambda: composed.log2(a).sum()
     a = t(3, 4, lo=-3.0, hi=3.0)
     yield "mish", [a], lambda: mish(a).sum()
     a = t(5, lo=2.0, hi=4.0)
-    yield "cap-scale-over", [a], lambda: (cap_scale(a, 1.0) * a).sum()
+    yield "cap-scale-over", [a], lambda: (composed.cap_scale(a, 1.0) * a).sum()
     a = t(5, lo=0.1, hi=0.4)
-    yield "cap-scale-under", [a], lambda: (cap_scale(a, 1.0) * a).sum()
+    yield "cap-scale-under", [a], lambda: (composed.cap_scale(a, 1.0) * a).sum()
 
     dense = Dense(4, 3, np.random.default_rng(11))
     x = t(5, 4)

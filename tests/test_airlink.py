@@ -7,7 +7,6 @@ from airbeam.airlink import (
     assemble_analog,
     bit_surrogate,
     downlink_pilot_symbols,
-    effective_beamformer,
     fdd_downlink_pilots,
     normalize_digital,
     normalize_digital_np,
@@ -22,6 +21,7 @@ from airbeam.airlink import (
 from airbeam.autodiff import Tensor, concat
 from airbeam.cplx import ComplexPair, as_pair
 
+import composed
 from helpers import bits_to_surrogate, check_grads, validate_hybrid
 
 RNG = np.random.default_rng(7)
@@ -231,7 +231,7 @@ def test_normalize_digital_scales_down_to_cap():
     raw[:] = np.eye(2) * (2 * cap / np.sqrt(2))   # Frobenius norm 2*cap
     out = normalize_digital(f_rf, as_pair(raw), pt, nc)
     np.testing.assert_allclose(out.re.values, raw.real / 2, atol=1e-12)
-    eff = effective_beamformer(f_rf, out)
+    eff = composed.effective_beamformer(f_rf, out)
     norms = np.sqrt(eff.abs2().values.sum(axis=(1, 2)))
     np.testing.assert_allclose(norms, cap, atol=1e-12)
 

@@ -205,6 +205,18 @@ def test_nonfinite_loss_aborts_cleanly():
     assert hist.rows == []
 
 
+@pytest.mark.parametrize("split,name", [("train", "training"), ("val", "validation")])
+def test_non_finite_split_sample_raises_before_any_step(split, name, monkeypatch):
+    splits = stub_splits(n_train=64, n_val=64)
+    getattr(splits, split).h[5, 0, 1, 0] = np.nan
+    pipe = ProbePipeline()
+    steps = []
+    monkeypatch.setattr(Adam, "step", lambda opt: steps.append(opt))
+    with pytest.raises(ValueError, match=f"^{name} split sample 5 has a non-finite entry$"):
+        train(pipe, splits, TrainConfig(epochs=1, batch_size=8), sigma2=0.1)
+    assert steps == [] and pipe.draws == []
+
+
 def test_training_restores_best_validation_state():
     cfg = tiny_cfg()
     splits = gen_splits(cfg, 8, 4, 2, seed=2)
